@@ -2,12 +2,15 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload campaign --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload campaign --seed 0 --seconds 20 --trace 0
 
 One process, one thread, one closed-loop client: each command goes to
 ``zonalg.cli.run(argv)`` (imported from ``src/`` next to this directory)
 only after the previous one returned.  Set-up (import, input generation,
 warm-up) is repeated several times and its median is ``setup_s``.
+Every time is given in reference seconds (see ``speed.py``): it is scaled
+by a probe that a timer runs every 0.1 s, so that drift in the shared
+host's speed cancels; the unscaled figures are printed too.
 Every output is checked after the timed loop; a non-zero exit or a failed
 check counts as a failed operation.
 
@@ -46,6 +49,7 @@ from statistics import median  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import speed  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -64,9 +68,12 @@ class Record:
     argv: list
     ctx: object
     rc: int | None
-    seconds: float
+    start: float  # perf_counter
+    end: float
     stdout: str
     stderr: str
+    raw_seconds: float = 0.0  # end - start, without the probes inside
+    seconds: float = 0.0  # raw_seconds in reference seconds
 
 
 def import_zonalg():
@@ -88,20 +95,38 @@ def run_command(cli, argv: list[str]):
         except Exception as exc:  # a crash fails this operation, not the run
             rc = None
             err.write(f"{type(exc).__name__}: {exc}")
-        seconds = time.perf_counter() - t0
-    return rc, seconds, out.getvalue(), err.getvalue()
+        t1 = time.perf_counter()
+    return rc, t0, t1, out.getvalue(), err.getvalue()
 
 
-def run_loop(cli, units, seconds: float) -> list[Record]:
-    """Closed loop: start units until `seconds` have passed (at least one); a unit always completes."""
+def run_loop(cli, units, seconds: float) -> tuple[list[Record], speed.Sampler]:
+    """Closed loop: start units until `seconds` have passed (at least one); a unit always completes.
+
+    Each record's time is scaled to reference seconds by the probes during and around it.
+    """
     records = []
-    start = time.perf_counter()
-    for i, unit in enumerate(units):
-        if i and time.perf_counter() - start >= seconds:
-            break
-        for argv, ctx in unit:
-            records.append(Record(i, argv, ctx, *run_command(cli, argv)))
-    return records
+    with speed.Sampler() as sampler:
+        start = time.perf_counter()
+        for i, unit in enumerate(units):
+            if i and time.perf_counter() - start >= seconds:
+                break
+            for argv, ctx in unit:
+                records.append(Record(i, argv, ctx, *run_command(cli, argv)))
+    for r in records:
+        r.raw_seconds, r.seconds = sampler.scale(r.start, r.end)
+    return records, sampler
+
+
+def span_seconds(sampler: speed.Sampler, records: list[Record]):
+    """Turns span (start, end) arrays into reference seconds without probes, at their command's scale."""
+    starts = np.array([r.start for r in records])
+    factors = np.array([r.seconds / r.raw_seconds for r in records])
+
+    def seconds(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        command = np.clip(np.searchsorted(starts, start, side="right") - 1, 0, len(starts) - 1)
+        return ((end - start) - (sampler.probe_seconds(end) - sampler.probe_seconds(start))) * factors[command]
+
+    return seconds
 
 
 def failures(wl, records: list[Record]) -> dict[int, str]:
@@ -139,14 +164,11 @@ def environment(pkg, seed: int) -> dict:
     }
 
 
-def op_per_s(wl, records: list[Record]) -> tuple:
-    """Ops completed per second of command time.
-
-    A mean over the whole run: on a shared box whose speed drifts over
-    minutes it is steadier than a median or a low percentile of unit times.
-    """
+def op_per_s(wl, records: list[Record], raw: bool = False) -> tuple:
+    """Ops completed per reference second (per second, if raw) of command time."""
     work = sum(wl.work(u) for u in workloads.group_units(records))
-    return work / sum(r.seconds for r in records), "1/s", work
+    secs = sum(r.raw_seconds if raw else r.seconds for r in records)
+    return work / secs, "1/s", work
 
 
 def layer_unit(metric: str) -> str:
@@ -160,28 +182,35 @@ def emit(name: str, value: float, unit: str, n) -> None:
 
 
 def set_up(workload: str, seed: int, workdir: Path):
-    """Repeated fresh set-ups; returns the last one and the median time."""
-    times = []
-    for k in range(workloads.WORKLOADS[workload].setup_repeats):
-        # each set-up writes fresh files: rewriting old ones is slower and noisier on ext4
-        shutil.rmtree(workdir / f"setup{k - 1}", ignore_errors=True)
-        t0 = time.perf_counter()
-        pkg, cli, oracle = import_zonalg()
-        wl = workloads.WORKLOADS[workload](seed, workdir / f"setup{k}", oracle)
-        for unit in wl.warmup_units():
-            for argv, _ in unit:
-                run_command(cli, argv)
-        times.append(time.perf_counter() - t0)
-    return pkg, cli, wl, median(times)
+    """Repeated set-ups; returns the last one and the median time in reference and in plain seconds.
+
+    Each set-up imports zonalg afresh and regenerates its inputs; the later
+    ones write them over the first one's files.
+    """
+    intervals = []
+    with speed.Sampler() as sampler:
+        for _ in range(workloads.WORKLOADS[workload].setup_repeats):
+            t0 = time.perf_counter()
+            pkg, cli, oracle = import_zonalg()
+            wl = workloads.WORKLOADS[workload](seed, workdir, oracle)
+            for unit in wl.warmup_units():
+                for argv, _ in unit:
+                    run_command(cli, argv)
+            intervals.append((t0, time.perf_counter()))
+    raw, ref = zip(*(sampler.scale(t0, t1) for t0, t1 in intervals))
+    return pkg, cli, wl, median(ref), median(raw)
 
 
-def untraced_run(wl, cli, seconds: float, setup_s: float):
-    records = run_loop(cli, wl.units(), seconds)
+def untraced_run(wl, cli, seconds: float, setup: tuple[float, float]):
+    records, sampler = run_loop(cli, wl.units(), seconds)
     failed = failures(wl, records)
-    named = {"setup_s": (setup_s, "s", wl.setup_repeats), "op_per_s": op_per_s(wl, records)}
+    named = {"setup_s": (setup[0], "s", wl.setup_repeats), "op_per_s": op_per_s(wl, records)}
     named.update(wl.report(records))
     named["error_rate"] = (len(failed) / len(records), "ratio", len(records))
-    print(f"end-to-end metrics (op = {wl.op}):")
+    print(f"host ran {sampler.slowdown():.3f}x slower than reference ({len(sampler.end)} probes); unscaled:")
+    emit("setup_s", setup[1], "s", wl.setup_repeats)
+    emit("op_per_s", *op_per_s(wl, records, raw=True))
+    print(f"end-to-end metrics in reference seconds (op = {wl.op}):")
     for name, (value, unit, n) in named.items():
         emit(name, value, unit, n)
     metrics = {m: {"value": named[m][0], "unit": named[m][1]} for m in ("op_per_s", "setup_s")}
@@ -192,22 +221,22 @@ def traced_run(wl, cli, seconds: float, spans: Path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traced = run_loop(cli, wl.units(), seconds)
+        traced, sampler = run_loop(cli, wl.units(), seconds)
     finally:
         tracer.uninstall()
     units = workloads.group_units(traced)
-    records = run_loop(cli, [[(r.argv, r.ctx) for r in unit] for unit in units], float("inf"))
+    records, _ = run_loop(cli, [[(r.argv, r.ctx) for r in unit] for unit in units], float("inf"))
     failed = failures(wl, records)
     for i, (t, r) in enumerate(zip(traced, records)):
         if t.stdout != r.stdout:
             failed.setdefault(i, f"{' '.join(t.argv)}: traced stdout differs from untraced")
     ops = sum(wl.work(u) for u in units)
-    values = tracer.layer_metrics(ops)
+    values = tracer.layer_metrics(ops, span_seconds(sampler, traced))
     values.update(wl.layer_extras(traced))
     values["trace.overhead_frac"] = sum(t.seconds for t in traced) / sum(r.seconds for r in records) - 1.0
     spans.parent.mkdir(parents=True, exist_ok=True)
-    tracer.save(spans)
-    print(f"per-layer metrics per {wl.op}, over {ops} ({len(tracer.name)} spans in {spans.name}):")
+    tracer.save(spans, probe_start=sampler.start, probe_end=sampler.end, probe_chunk_s=sampler.chunk_s)
+    print(f"per-layer metrics per {wl.op}, in reference seconds, over {ops} ({len(tracer.name)} spans in {spans.name}):")
     for name, value in values.items():
         emit(name, value, layer_unit(name), ops)
     if tracer.absent:
@@ -220,7 +249,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -230,13 +259,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     workdir = OUT / f"{args.workload}-seed{args.seed}-trace{args.trace}-{os.getpid()}"
     try:
-        pkg, cli, wl, setup_s = set_up(args.workload, args.seed, workdir)
+        pkg, cli, wl, *setup = set_up(args.workload, args.seed, workdir)
         print(json.dumps({"workload": args.workload, "trace": args.trace, "env": environment(pkg, args.seed)}))
         if args.trace:
             spans = OUT / f"spans-{args.workload}-seed{args.seed}.npz"
             records, failed, metrics = traced_run(wl, cli, args.seconds / 2, spans)
         else:
-            records, failed, metrics = untraced_run(wl, cli, args.seconds, setup_s)
+            records, failed, metrics = untraced_run(wl, cli, args.seconds, setup)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     for msg in list(failed.values())[:10]:

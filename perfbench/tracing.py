@@ -158,9 +158,10 @@ class Tracer:
 
         return traced
 
-    def save(self, path) -> None:
+    def save(self, path, **arrays) -> None:
         np.savez(
             path,
+            **{key: np.frombuffer(value, dtype=np.float64) for key, value in arrays.items()},
             names=np.array(self.names),
             name=np.frombuffer(self.name, dtype=np.int32),
             parent=np.frombuffer(self.parent, dtype=np.int32),
@@ -169,12 +170,15 @@ class Tracer:
             count=np.frombuffer(self.count, dtype=np.int64),
         )
 
-    def layer_metrics(self, ops: float) -> dict[str, float]:
-        """Every LAYER_METRICS entry per operation of the workload; absent spans count 0."""
+    def layer_metrics(self, ops: float, seconds) -> dict[str, float]:
+        """Every LAYER_METRICS entry per operation of the workload; absent spans count 0.
+
+        seconds(starts, ends) gives the spans' durations, as the caller counts them.
+        """
         k = len(self.names)
         name = np.frombuffer(self.name, dtype=np.int32)
         parent = np.frombuffer(self.parent, dtype=np.int32)
-        dur = np.frombuffer(self.end, dtype=np.float64) - np.frombuffer(self.start, dtype=np.float64)
+        dur = seconds(np.frombuffer(self.start, dtype=np.float64), np.frombuffer(self.end, dtype=np.float64))
         has_parent = parent >= 0
         child = np.bincount(parent[has_parent], weights=dur[has_parent], minlength=len(dur))
         stats = {
