@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (an inequality violated
-beyond tolerance), 2 usage or input error.  Output is JSON on stdout
+beyond tolerance), 2 usage or input error, 3 internal error (an unexpected
+exception, reported as one `error:` line on stderr).  Output is JSON on stdout
 unless --csv/--svg is given; identical arguments and seed produce
 byte-identical output.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import bodies, generators, inequalities, lifted, oracle, rkhs
 from .bodies import PI, Body
-from .errors import ZonalgError
+from .errors import NumericError, ZonalgError
 from .lifted import LiftedVector
 
 
@@ -29,8 +30,16 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _dumps(obj) -> str:
+    """JSON text of obj; a NaN or infinite value is an error, not output."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"result is not finite: {exc}") from exc
+
+
 def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True) + "\n", out_path)
+    _emit(_dumps(obj) + "\n", out_path)
 
 
 def _read_body(path: str) -> Body:
@@ -130,6 +139,8 @@ def _lift_stats(x: LiftedVector) -> dict:
 
 
 def _cmd_lift(args) -> int:
+    if args.action == "add" and args.other is None:
+        args.error("lift add needs a second vector file")
     if args.action == "stats":
         _emit_json(_lift_stats(_read_lifted(args.file)), args.out)
     elif args.action == "add":
@@ -157,7 +168,7 @@ def _fuzz_iso(trials, seed, max_diangles, tol):
         worst = min(worst, slack)
         if slack < bound:
             violations += 1
-    return violations, {"min_slack": worst}
+    return violations, {"min_slack": worst if trials > 0 else None}
 
 
 def _fuzz_bm(trials, seed, max_diangles, tol):
@@ -170,7 +181,7 @@ def _fuzz_bm(trials, seed, max_diangles, tol):
         worst = min(worst, rep.slack)
         if not rep.holds:
             violations += 1
-    return violations, {"min_slack": worst}
+    return violations, {"min_slack": worst if trials > 0 else None}
 
 
 def _fuzz_bmgen(trials, seed, max_diangles, tol):
@@ -200,7 +211,7 @@ def _fuzz_schwarz(trials, seed, max_diangles, tol):
         worst = min(worst, rep.slack)
         if not rep.holds:
             violations += 1
-    return violations, {"min_slack": worst}
+    return violations, {"min_slack": worst if trials > 0 else None}
 
 
 _FUZZERS = {"iso": _fuzz_iso, "bm": _fuzz_bm, "bmgen": _fuzz_bmgen, "schwarz": _fuzz_schwarz}
@@ -231,7 +242,7 @@ def _cmd_reduce(args) -> int:
         if v.disc_radius > 0:
             v = bodies.minkowski_add(Body(v.diangles, 0.0), oracle.disc_polygon(v.disc_radius, args.polygonize_disc))
     trace = inequalities.reduce_pair(u, v)
-    lines = [json.dumps(step.to_dict(), sort_keys=True) for step in trace.steps]
+    lines = [_dumps(step.to_dict()) for step in trace.steps]
     w = trace.witness
     ow, mw = bodies.perimeter(w), bodies.area(w)
     summary = {
@@ -245,7 +256,7 @@ def _cmd_reduce(args) -> int:
         "input_measure_ext": lifted.measure_ext(lifted.lift(u, v)),
         "classical_deficit_of_witness": ow * ow - 4 * PI * mw,
     }
-    lines.append(json.dumps(summary, sort_keys=True))
+    lines.append(_dumps(summary))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -254,6 +265,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    if args.action in ("eval", "interp") and args.file is None:
+        args.error(f"kernel {args.action} needs a file")
+    if args.action == "eval" and args.nodes < 2:
+        args.error(f"kernel eval needs --nodes >= 2, got {args.nodes}")
     if args.action == "gram":
         g = rkhs.gram(np.linspace(0.0, PI, args.nodes))
         if args.csv:
@@ -310,6 +325,19 @@ def _cmd_rotation_fn(args) -> int:
 # --- parser --------------------------------------------------------------
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zonalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -330,13 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift.add_argument("other", nargs="?", help="second vector file (for add)")
     p_lift.add_argument("--value", type=float, default=0.0, help="scalar for scale / angle for eval")
     add_out(p_lift)
-    p_lift.set_defaults(func=_cmd_lift)
+    p_lift.set_defaults(func=_cmd_lift, error=p_lift.error)
 
     p_check = sub.add_parser("check", help="fuzz an inequality")
     p_check.add_argument("inequality", choices=sorted(_FUZZERS))
-    p_check.add_argument("--trials", type=int, default=1000)
+    p_check.add_argument("--trials", type=_int_at_least(0), default=1000)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--max-diangles", type=int, default=10)
+    p_check.add_argument("--max-diangles", type=_int_at_least(1), default=10)
     p_check.add_argument("--tol", type=float, default=1e-9)
     add_out(p_check)
     p_check.set_defaults(func=_cmd_check)
@@ -350,16 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel = sub.add_parser("kernel", help="kernel matrices, eigenvalues, sampling, interpolation")
     p_kernel.add_argument("action", choices=["gram", "eig", "eval", "interp"])
     p_kernel.add_argument("file", nargs="?", help="lifted vector (eval) or width function (interp) JSON")
-    p_kernel.add_argument("--nodes", type=int, default=16)
+    p_kernel.add_argument("--nodes", type=_int_at_least(1), default=16, help="grid size (eval needs >= 2)")
     p_kernel.add_argument("--ridge", type=float, default=0.0)
     p_kernel.add_argument("--csv", action="store_true")
     add_out(p_kernel)
-    p_kernel.set_defaults(func=_cmd_kernel)
+    p_kernel.set_defaults(func=_cmd_kernel, error=p_kernel.error)
 
     p_rot = sub.add_parser("rotation-fn", help="rotation functions E and F over a grid")
     p_rot.add_argument("file", help="fixed body JSON")
     p_rot.add_argument("other", help="rotating zonogon JSON")
-    p_rot.add_argument("--nodes", type=int, default=64)
+    p_rot.add_argument("--nodes", type=_int_at_least(0), default=64)
     p_rot.add_argument("--csv", action="store_true")
     add_out(p_rot)
     p_rot.set_defaults(func=_cmd_rotation_fn)
@@ -371,13 +399,15 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse, on --help or a usage error
+        return 2 if exc.code not in (0, None) else 0
     except (ZonalgError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a verdict: never exit 1
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -158,6 +158,47 @@ class TestExitCodes:
     def test_vertices_of_disc_without_polygonize(self, capsys):
         assert run(resolve(["body", "vertices", "disc.json"])) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "gram", "--nodes", "-1"],
+            ["kernel", "eig", "--nodes", "0"],
+            ["kernel", "eval", "lifted_sb.json", "--nodes", "1"],
+            ["kernel", "eval"],
+            ["kernel", "interp"],
+            ["lift", "add", "lifted_sb.json"],
+            ["check", "iso", "--trials", "-1"],
+            ["check", "bm", "--max-diangles", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_arguments_are_usage_errors(self, argv, capsys):
+        assert run(resolve(argv)) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
+        def boom(_):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(z.rkhs, "gram", boom)
+        assert run(["kernel", "gram"]) == 3
+        assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("inequality", ["iso", "bm", "bmgen", "schwarz"])
+    def test_empty_campaign_min_slack_null(self, inequality, capsys):
+        assert run(["check", inequality, "--trials", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["min_slack"] is None
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_result_is_input_error(self, tmp_path, capsys):
+        huge = {"diangles": [{"angle": 0.0, "d": 1e200}, {"angle": 1.0, "d": 1e200}], "disc": 0.0}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"plus": huge, "minus": {"diangles": [], "disc": 0.0}}))
+        assert run(["lift", "stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: result is not finite")
+
     def test_installed_entry_point(self):
         # Run the declared console-script target as a process, as the
         # installed `zonalg` script would, so that no install is needed.

@@ -145,12 +145,42 @@ class TestJacobi:
         assert eigs == pytest.approx([PI / 2, 4 - PI / 2], abs=1e-12)
 
     def test_matches_numpy_oracle(self, rng):
-        for n in (2, 5, 16):
+        # odd n runs with a padding index
+        for n in (2, 3, 5, 16, 33):
             m = rng.standard_normal((n, n))
             sym = (m + m.T) / 2
             ours = rkhs.jacobi_eigenvalues(sym)
             ref = np.linalg.eigvalsh(sym)
-            assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+
+    def test_uniform_gram_oracle(self):
+        # max_sweeps=20 also shows that no size is near the default cap of 100
+        for n in range(8, 129, 8):
+            g = z.gram(np.linspace(0, PI, n)).array
+            ours = rkhs.jacobi_eigenvalues(g, max_sweeps=20)
+            ref = np.linalg.eigvalsh(g)
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * ref[-1], n
+
+    def test_unconverged_raises(self, rng):
+        m = rng.standard_normal((16, 16))
+        with pytest.raises(NumericError, match="1 sweeps: off-diagonal norm"):
+            rkhs.jacobi_eigenvalues(m + m.T, max_sweeps=1)
+
+    def test_stopping_test_sees_small_off_diagonal(self):
+        # ||A||^2 - ||diag A||^2 rounds these off-diagonal entries away
+        a = np.diag(1e8 + np.arange(4.0)) + (np.ones((4, 4)) - np.eye(4))
+        with pytest.raises(NumericError, match="0 sweeps"):
+            rkhs.jacobi_eigenvalues(a, max_sweeps=0)
+
+    def test_round_robin_meets_every_pair_once(self):
+        for m in (2, 4, 6, 34):
+            layout, step = rkhs._round_robin(m)
+            current, met = layout, set()
+            for _ in range(m - 1):
+                met.update(frozenset(pair) for pair in current.reshape(-1, 2).tolist())
+                current = current[step]
+            assert len(met) == m * (m - 1) // 2
+            assert np.array_equal(current, layout)
 
     def test_gram_oracle(self, rng):
         g = z.gram(np.sort(rng.uniform(0, PI, 12))).array
@@ -159,6 +189,10 @@ class TestJacobi:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             rkhs.jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(InvalidInputError):
+            rkhs.jacobi_eigenvalues(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 class TestInterpolate:
@@ -245,6 +279,16 @@ class TestSerialization:
         d = g.to_dict()
         assert d["nodes"] == [0.0, PI / 2]
         assert len(d["entries"]) == 2
+
+    def test_gram_csv_matches_per_entry_repr(self, rng):
+        for nodes in (np.linspace(0, PI, 64), np.sort(rng.uniform(0, PI, 50))):
+            g = z.gram(nodes)
+            rows = [nodes.tolist()] + g.entries.tolist()
+            assert g.to_csv() == "".join(",".join(repr(v) for v in row) + "\n" for row in rows)
+
+    def test_gram_csv_keeps_signed_zero(self):
+        g = rkhs.GramMatrix(np.array([0.0, 1.0]), np.array([[0.0, -0.0], [-0.0, 0.0]]))
+        assert g.to_csv() == "0.0,1.0\n0.0,-0.0\n-0.0,0.0\n"
 
     def test_width_function_bad_dict(self):
         with pytest.raises(InvalidInputError):
