@@ -16,6 +16,7 @@ from .bodies import (
     Direction,
     Point,
     area,
+    atom_form,
     body,
     canonicalize,
     diangle,

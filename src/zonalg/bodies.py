@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._backend import pair_sin_sum, support_batch
+from ._backend import support_batch
 from .errors import InvalidInputError, UnsupportedRepresentationError
 
 PI = math.pi
@@ -175,11 +175,28 @@ def width(a: Body, phi: float | Direction) -> float:
     return 2.0 * support(a, angle + PI / 2)
 
 
+def atom_form(a1, w1, r1, a2, w2, r2):
+    """Mixed area of two signed atom vectors, batched over leading axes.
+
+    A vector is atoms (angle, weight) plus a disc radius; a body has
+    weights = half-lengths and radius >= 0, a lifted vector [P, M] has P's
+    atoms with + and M's with -, and radius r_P - r_M.  The form is
+
+        B(x, y) = 2 w1ᵀ|sin(a1 - a2ᵀ)|w2 + 2 r1 Σw2 + 2 r2 Σw1 + π r1 r2,
+
+    so area is B(x, x) and measure_ext is B(x, x) on the lifted atoms.
+    Angles and weights have shape (..., k); radii have shape (...).  Each
+    batch item gets its own matrix-vector products, so its value does not
+    depend on the other items in the batch.
+    """
+    a1, w1, a2, w2 = (np.asarray(t, dtype=float) for t in (a1, w1, a2, w2))
+    sines = np.abs(np.sin(a1[..., :, None] - a2[..., None, :]))
+    cross = (w1[..., None, :] @ sines @ w2[..., :, None])[..., 0, 0]
+    return 2.0 * cross + 2.0 * (r1 * w2.sum(-1) + r2 * w1.sum(-1)) + PI * r1 * r2
+
+
 def area(a: Body) -> float:
-    cross = 2.0 * pair_sin_sum(a._angles, a._lengths, a._angles, a._lengths)
-    total = float(a._lengths.sum())
-    r = a.disc_radius
-    return cross + 4.0 * r * total + PI * r * r
+    return float(atom_form(a._angles, a._lengths, a.disc_radius, a._angles, a._lengths, a.disc_radius))
 
 
 def perimeter(a: Body) -> float:
@@ -188,9 +205,7 @@ def perimeter(a: Body) -> float:
 
 def mixed_area(a: Body, b: Body) -> float:
     """Bilinear polarization of area: (area(a+b) - area(a) - area(b)) / 2."""
-    cross = 2.0 * pair_sin_sum(a._angles, a._lengths, b._angles, b._lengths)
-    ra, rb = a.disc_radius, b.disc_radius
-    return cross + 2.0 * ra * float(b._lengths.sum()) + 2.0 * rb * float(a._lengths.sum()) + PI * ra * rb
+    return float(atom_form(a._angles, a._lengths, a.disc_radius, b._angles, b._lengths, b.disc_radius))
 
 
 def vertices(a: Body) -> list[Point]:

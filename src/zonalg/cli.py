@@ -10,13 +10,14 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import bodies, generators, inequalities, lifted, oracle, rkhs
+from . import bodies, inequalities, lifted, oracle, rkhs
 from .bodies import PI, Body
 from .errors import NumericError, ZonalgError
 from .lifted import LiftedVector
@@ -158,76 +159,11 @@ def _cmd_lift(args) -> int:
 # --- check ---------------------------------------------------------------
 
 
-def _fuzz_iso(trials, seed, max_diangles, tol):
-    violations, worst = 0, math.inf
-    for i in range(trials):
-        x = generators.random_lifted(generators.trial_rng(seed, i), max_diangles)
-        o = lifted.perimeter_ext(x)
-        slack = lifted.deficit(x)
-        bound = -tol * (1.0 + o * o)
-        worst = min(worst, slack)
-        if slack < bound:
-            violations += 1
-    return violations, {"min_slack": worst if trials > 0 else None}
-
-
-def _fuzz_bm(trials, seed, max_diangles, tol):
-    violations, worst = 0, math.inf
-    for i in range(trials):
-        rng = generators.trial_rng(seed, i)
-        u = generators.random_body(rng, max_diangles)
-        v = generators.random_body(rng, max_diangles)
-        rep = inequalities.check_bm_classical(u, v, tol_abs=tol, tol_rel=tol)
-        worst = min(worst, rep.slack)
-        if not rep.holds:
-            violations += 1
-    return violations, {"min_slack": worst if trials > 0 else None}
-
-
-def _fuzz_bmgen(trials, seed, max_diangles, tol):
-    violations, checked = 0, 0
-    worst = math.inf
-    for i in range(trials):
-        rng = generators.trial_rng(seed, i)
-        x = generators.random_lifted(rng, max_diangles)
-        y = generators.random_lifted(rng, max_diangles)
-        if lifted.measure_ext(x) <= 0 or lifted.measure_ext(y) <= 0:
-            continue
-        checked += 1
-        rep = inequalities.check_bm_generalized(x, y, tol_abs=tol, tol_rel=tol)
-        worst = min(worst, rep.slack)
-        if not rep.holds:
-            violations += 1
-    return violations, {"checked": checked, "min_slack": worst if checked else None}
-
-
-def _fuzz_schwarz(trials, seed, max_diangles, tol):
-    violations, worst = 0, math.inf
-    for i in range(trials):
-        rng = generators.trial_rng(seed, i)
-        x = generators.random_lifted(rng, max_diangles)
-        y = generators.random_lifted(rng, max_diangles)
-        rep = inequalities.check_schwarz_deficit(x, y, tol_abs=tol, tol_rel=tol)
-        worst = min(worst, rep.slack)
-        if not rep.holds:
-            violations += 1
-    return violations, {"min_slack": worst if trials > 0 else None}
-
-
-_FUZZERS = {"iso": _fuzz_iso, "bm": _fuzz_bm, "bmgen": _fuzz_bmgen, "schwarz": _fuzz_schwarz}
-
-
 def _cmd_check(args) -> int:
-    violations, extra = _FUZZERS[args.inequality](args.trials, args.seed, args.max_diangles, args.tol)
-    report = {
-        "inequality": args.inequality,
-        "trials": args.trials,
-        "seed": args.seed,
-        "violations": violations,
-    }
-    report.update(extra)
+    result = inequalities.campaign(args.inequality, args.trials, args.seed, args.max_diangles, args.tol)
+    report = {"inequality": args.inequality, "trials": args.trials, "seed": args.seed, **result}
     _emit_json(report, args.out)
-    return 1 if violations else 0
+    return 1 if result["violations"] else 0
 
 
 # --- reduce --------------------------------------------------------------
@@ -298,11 +234,11 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_rotation_fn(args) -> int:
     u, v = _read_body(args.file), _read_body(args.other)
+    phi_star, f_min = inequalities.singular_min(u, v)  # rejects discs and empty bodies
     phis = np.linspace(0.0, PI, args.nodes, endpoint=False)
     e_vals = [inequalities.rotation_fn_E(u, v, p) for p in phis]
     f_vals = inequalities._rotation_fn_F_many(u, v, phis)
     cands = inequalities.singular_candidates(u, v)
-    phi_star, f_min = inequalities.singular_min(u, v)
     if args.csv:
         rows = ["phi,E,F"]
         rows += [f"{repr(float(p))},{repr(float(e))},{repr(float(f))}" for p, e, f in zip(phis, e_vals, f_vals)]
@@ -338,6 +274,20 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _finite_at_least(lo: float):
+    """argparse type: a finite float >= lo."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < lo:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {lo}, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zonalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift.set_defaults(func=_cmd_lift, error=p_lift.error)
 
     p_check = sub.add_parser("check", help="fuzz an inequality")
-    p_check.add_argument("inequality", choices=sorted(_FUZZERS))
+    p_check.add_argument("inequality", choices=sorted(inequalities.CAMPAIGN_BODIES))
     p_check.add_argument("--trials", type=_int_at_least(0), default=1000)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--max-diangles", type=_int_at_least(1), default=10)
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.add_argument("--tol", type=_finite_at_least(0.0), default=1e-9, help="finite, >= 0")
     add_out(p_check)
     p_check.set_defaults(func=_cmd_check)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bodies, lifted
-from .bodies import ANGLE_TOL, PI, Body, Diangle, Direction, canonicalize, support_many
+from . import bodies, generators, lifted
+from .bodies import ANGLE_TOL, PI, Body, Diangle, Direction, atom_form, canonicalize, support_many
 from .errors import DegenerateDirectionError, DomainError, UnsupportedRepresentationError
 from .lifted import LiftedVector, bilinear_M, deficit, eps_form, measure_ext, perimeter_ext
 
@@ -84,6 +84,114 @@ def check_schwarz_deficit(
     return _report(lhs, eps_form(x, y), tol_abs, tol_rel)
 
 
+# --- batched campaigns ----------------------------------------------------
+
+# Bodies drawn per trial, in draw order.  iso and bm draw (u, v); bmgen and
+# schwarz draw x = [u, v] and then y = [u', v'].
+CAMPAIGN_BODIES = {"iso": 2, "bm": 2, "bmgen": 4, "schwarz": 4}
+# Bound on the entries of one chunk's (n, k, k) sine tensor.
+CHUNK_ENTRIES = 1 << 22
+
+
+def _campaign_atoms(seed: int, trials: range, max_diangles: int, count: int):
+    """The draws of the given trials as zero-padded atom arrays.
+
+    Returns angles and half-lengths of shape (len(trials), count,
+    max_diangles) and disc radii of shape (len(trials), count).  Body b of
+    trial i is the b-th random_body drawn from trial_rng(seed, i).
+    """
+    sizes, radii, angle_parts, length_parts = [], [], [], []
+    for trial in trials:
+        rng = generators.trial_rng(seed, trial)
+        for _ in range(count):
+            angles, lengths, radius = generators.random_atoms(rng, max_diangles)
+            sizes.append(len(angles))
+            radii.append(radius)
+            angle_parts.append(angles)
+            length_parts.append(lengths)
+    shape = (len(trials), count, max_diangles)
+    filled = np.arange(max_diangles) < np.reshape(sizes, shape[:2] + (1,))
+    angles, lengths = np.zeros(shape), np.zeros(shape)
+    if angle_parts:
+        angles[filled] = np.concatenate(angle_parts)
+        lengths[filled] = np.concatenate(length_parts)
+    return angles, lengths, np.reshape(radii, shape[:2])
+
+
+def _body(atoms, i: int):
+    """Atoms of body i, per trial."""
+    return tuple(t[:, i] for t in atoms)
+
+
+def _combine(atoms, i: int, j: int, sign: float):
+    """Atoms of body i followed by those of body j times sign, per trial."""
+    angles, lengths, radii = atoms
+    return (
+        np.concatenate([angles[:, i], angles[:, j]], axis=-1),
+        np.concatenate([lengths[:, i], sign * lengths[:, j]], axis=-1),
+        radii[:, i] + sign * radii[:, j],
+    )
+
+
+def _perimeter(x) -> np.ndarray:
+    _, weights, radius = x
+    return 4.0 * weights.sum(-1) + 2.0 * PI * radius
+
+
+def campaign_values(kind: str, seed: int, trials: range, max_diangles: int = 10):
+    """Per-trial (lhs, rhs, checked) of a campaign over the given trials.
+
+    The inequality is lhs >= rhs on the trials where `checked` holds (bmgen
+    skips vectors of nonpositive measure).  Rows are padded to
+    2 * max_diangles atoms whatever the trials are, so a trial's values are
+    the same bits alone or in any batch.
+    """
+    atoms = _campaign_atoms(seed, trials, max_diangles, CAMPAIGN_BODIES[kind])
+    all_checked = np.ones(len(trials), dtype=bool)
+    if kind == "bm":
+        u, v, s = _body(atoms, 0), _body(atoms, 1), _combine(atoms, 0, 1, 1.0)
+        lhs = np.sqrt(atom_form(*s, *s))
+        return lhs, np.sqrt(atom_form(*u, *u)) + np.sqrt(atom_form(*v, *v)), all_checked
+    x = _combine(atoms, 0, 1, -1.0)
+    ox, mx = _perimeter(x), atom_form(*x, *x)
+    if kind == "iso":
+        return ox * ox, 4.0 * PI * mx, all_checked
+    y = _combine(atoms, 2, 3, -1.0)
+    oy, my, bxy = _perimeter(y), atom_form(*y, *y), atom_form(*x, *y)
+    if kind == "bmgen":
+        return bxy * bxy, mx * my, (mx > 0) & (my > 0)
+    dx, dy = ox * ox - 4.0 * PI * mx, oy * oy - 4.0 * PI * my
+    return np.sqrt(np.maximum(dx, 0.0)) * np.sqrt(np.maximum(dy, 0.0)), ox * oy - 4.0 * PI * bxy, all_checked
+
+
+def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: float = TOL_ABS) -> dict:
+    """Fuzz one inequality over trials 0 .. trials-1 of seed.
+
+    Returns the violation count and the smallest slack (None when nothing
+    was checked), plus the number of checked trials for bmgen.  iso counts
+    deficit < -tol*(1 + o^2); the others count a failed check_* report.
+    """
+    step = max(1, CHUNK_ENTRIES // (2 * max_diangles) ** 2)
+    violations = checked = 0
+    worst = math.inf
+    for start in range(0, trials, step):
+        lhs, rhs, ok = campaign_values(kind, seed, range(start, min(trials, start + step)), max_diangles)
+        lhs, rhs = lhs[ok], rhs[ok]
+        slack = lhs - rhs
+        if kind == "iso":
+            violated = slack < -tol * (1.0 + lhs)
+        else:
+            violated = ~(slack >= -scaled_tol(lhs, rhs, tol, tol))
+        violations += int(np.count_nonzero(violated))
+        checked += len(slack)
+        if len(slack):
+            worst = min(worst, float(slack.min()))
+    report = {"violations": violations, "min_slack": worst if checked else None}
+    if kind == "bmgen":
+        report["checked"] = checked
+    return report
+
+
 def _require_zonogon(v: Body, what: str) -> None:
     if not v.is_zonogon:
         raise UnsupportedRepresentationError(f"{what} requires a pure zonogon; polygonize the disc first")
@@ -112,6 +220,8 @@ def singular_candidates(u: Body, v: Body) -> np.ndarray:
     diffs = np.mod(u._angles[:, None] - v._angles[None, :], PI).ravel()
     diffs[PI - diffs <= ANGLE_TOL] = 0.0
     cands = np.sort(np.unique(diffs))
+    if len(cands) == 0:
+        return cands
     keep = [0]
     for i in range(1, len(cands)):
         if cands[i] - cands[keep[-1]] > ANGLE_TOL:

@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import bodies
 from .bodies import (
@@ -18,10 +21,10 @@ from .bodies import (
     UNIT_DISC,
     Body,
     Diangle,
+    atom_form,
     canonicalize,
     hausdorff,
     minkowski_add,
-    mixed_area,
 )
 from .errors import InvalidInputError
 
@@ -32,6 +35,15 @@ FOUR_PI_SQ = 4.0 * PI * PI
 class LiftedVector:
     plus: Body
     minus: Body
+
+    @cached_property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Signed atoms (angles, weights, radius): plus with +, minus with -."""
+        return (
+            np.concatenate([self.plus._angles, self.minus._angles]),
+            np.concatenate([self.plus._lengths, -self.minus._lengths]),
+            self.plus.disc_radius - self.minus.disc_radius,
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -113,21 +125,12 @@ def scale_real(x: LiftedVector, lam: float) -> LiftedVector:
 
 def measure_ext(x: LiftedVector) -> float:
     """Quadratic extension of area; may be negative."""
-    return (
-        2.0 * bodies.area(x.plus)
-        + 2.0 * bodies.area(x.minus)
-        - bodies.area(minkowski_add(x.plus, x.minus))
-    )
+    return float(atom_form(*x.atoms, *x.atoms))
 
 
 def bilinear_M(x: LiftedVector, y: LiftedVector) -> float:
     """Symmetric bilinear form polarizing measure_ext."""
-    return (
-        mixed_area(x.plus, y.plus)
-        + mixed_area(x.minus, y.minus)
-        - mixed_area(x.plus, y.minus)
-        - mixed_area(x.minus, y.plus)
-    )
+    return float(atom_form(*x.atoms, *y.atoms))
 
 
 def perimeter_ext(x: LiftedVector) -> float:

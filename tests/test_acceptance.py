@@ -229,12 +229,10 @@ def test_11_schwarz_deficit():
 
 
 def test_12_cli_determinism_and_goldens(capsys):
-    from test_cli import GOLDEN_CASES, golden_comparable, resolve
+    from test_cli import GOLDEN_CASES, resolve
 
     compared = identical = 0
     for argv, golden in GOLDEN_CASES:
-        if not golden_comparable(golden):
-            continue
         compared += 1
         code = run(resolve(argv))
         out = capsys.readouterr().out

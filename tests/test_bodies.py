@@ -170,6 +170,40 @@ class TestAreaPerimeterMixed:
         assert z.mixed_area(B, B) == pytest.approx(PI, abs=0)
 
 
+class TestAtomForm:
+    def test_area_matches_shoelace(self, rng):
+        for _ in range(100):
+            a = random_zonogon(rng, 12)
+            got = bodies.atom_form(a._angles, a._lengths, 0.0, a._angles, a._lengths, 0.0)
+            assert got == pytest.approx(oracle.shoelace_area(oracle.polygon(z.vertices(a))), rel=1e-9)
+
+    def test_mixed_area_matches_shoelace(self, rng):
+        for _ in range(100):
+            a, b = random_zonogon(rng, 6), random_zonogon(rng, 6)
+            pa, pb = oracle.polygon(z.vertices(a)), oracle.polygon(z.vertices(b))
+            want = (oracle.shoelace_area(oracle.poly_sum(pa, pb)) - oracle.shoelace_area(pa) - oracle.shoelace_area(pb)) / 2
+            got = bodies.atom_form(a._angles, a._lengths, 0.0, b._angles, b._lengths, 0.0)
+            assert got == pytest.approx(want, rel=1e-9)
+
+    def test_disc_terms(self):
+        # square (perimeter 4) against a disc of radius 2: 2 * (2 * 2) + 0
+        got = bodies.atom_form(S._angles, S._lengths, 0.0, [], [], 2.0)
+        assert got == pytest.approx(z.mixed_area(S, z.disc(2.0)), rel=1e-15)
+        assert bodies.atom_form([], [], 2.0, [], [], 3.0) == pytest.approx(6 * PI, rel=1e-15)
+
+    def test_batch_rows_equal_single_calls(self, rng):
+        k = 7
+        angles = rng.uniform(0, PI, (2, 3, k))
+        weights = rng.uniform(-1, 1, (2, 3, k)) * (rng.random((2, 3, k)) < 0.7)
+        radii = rng.uniform(-1, 1, (2, 3))
+        batch = bodies.atom_form(angles, weights, radii, angles[::-1], weights[::-1], radii[::-1])
+        assert batch.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one = bodies.atom_form(angles[i, j], weights[i, j], radii[i, j], angles[1 - i, j], weights[1 - i, j], radii[1 - i, j])
+                assert batch[i, j].tobytes() == np.float64(one).tobytes()
+
+
 class TestVertices:
     def test_square_vertices(self):
         pts = {(round(p.x, 9), round(p.y, 9)) for p in z.vertices(S)}

@@ -36,36 +36,11 @@ GOLDEN_CASES = [
     (["rotation-fn", "square.json", "segment.json", "--nodes", "8", "--csv"], "rotation_fn.csv"),
 ]
 
-# Goldens pinned to the compiled backend: the numpy fallback sums in another
-# order and differs from them in the last ulp.
-COMPILED_ONLY = {"check_bmgen_50.json"}
-
-
-def golden_comparable(golden):
-    """Whether `golden` is expected to match byte for byte on the active backend."""
-    return z.BACKEND == "compiled" or golden not in COMPILED_ONLY
-
-
 def resolve(argv):
     return [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
 
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        pytest.param(
-            argv,
-            golden,
-            id=golden,
-            marks=pytest.mark.skipif(
-                not golden_comparable(golden),
-                reason="golden is pinned to the compiled backend; the numpy "
-                "fallback's summation order differs in the last ulp",
-            ),
-        )
-        for argv, golden in GOLDEN_CASES
-    ],
-)
+@pytest.mark.parametrize("argv,golden", [pytest.param(argv, golden, id=golden) for argv, golden in GOLDEN_CASES])
 def test_golden(argv, golden, capsys):
     assert run(resolve(argv)) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
@@ -169,12 +144,25 @@ class TestExitCodes:
             ["lift", "add", "lifted_sb.json"],
             ["check", "iso", "--trials", "-1"],
             ["check", "bm", "--max-diangles", "0"],
+            ["check", "iso", "--tol", "nan"],
+            ["check", "bm", "--tol", "inf"],
+            ["check", "schwarz", "--tol", "-1"],
         ],
         ids=" ".join,
     )
     def test_bad_arguments_are_usage_errors(self, argv, capsys):
         assert run(resolve(argv)) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "files", [["disc.json", "square.json"], ["square.json", "origin.json"], ["origin.json", "square.json"]], ids=" ".join
+    )
+    def test_rotation_fn_without_diangles_is_input_error(self, files, capsys):
+        # A disc or an empty body has no singular position.
+        assert run(resolve(["rotation-fn", *files])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
         def boom(_):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zonalg as z
-from zonalg import inequalities, lifted
+from zonalg import bodies, generators, inequalities, lifted
 from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import (
     DegenerateDirectionError,
@@ -155,6 +155,10 @@ class TestSingularMin:
         with pytest.raises(DomainError):
             z.singular_min(S, z.ORIGIN)
 
+    def test_candidates_of_empty_body(self):
+        assert len(inequalities.singular_candidates(B, S)) == 0
+        assert len(inequalities.singular_candidates(S, z.ORIGIN)) == 0
+
 
 class TestReducePair:
     def test_square_vs_segment(self):
@@ -262,3 +266,87 @@ class TestEqualityCase:
             x = z.from_body(a)
             assert z.deficit(x) > 0.0
             assert not z.equality_case_check(x)
+
+
+def reference_campaign(kind, trials, seed, max_diangles, tol):
+    """One check_* report per trial (None when bmgen skips it) and the violation count."""
+    reports, violations = [], 0
+    for i in range(trials):
+        rng = generators.trial_rng(seed, i)
+        if kind == "bm":
+            u, v = random_body(rng, max_diangles), random_body(rng, max_diangles)
+            rep = z.check_bm_classical(u, v, tol, tol)
+        else:
+            x = random_lifted(rng, max_diangles)
+            if kind == "iso":
+                rep = z.check_isoperimetric(x, tol, tol)
+            else:
+                y = random_lifted(rng, max_diangles)
+                if kind == "bmgen" and (z.measure_ext(x) <= 0 or z.measure_ext(y) <= 0):
+                    reports.append(None)
+                    continue
+                check = z.check_bm_generalized if kind == "bmgen" else z.check_schwarz_deficit
+                rep = check(x, y, tol, tol)
+        reports.append(rep)
+        violations += rep.slack < -tol * (1 + rep.lhs) if kind == "iso" else not rep.holds
+    return reports, violations
+
+
+# Negative tolerances split the trials into violations and passes, so that
+# the counts test the violation rules themselves.
+SPLIT_TOL = {"iso": -1.1, "bm": -0.1, "bmgen": -0.4, "schwarz": -0.85}
+
+
+class TestCampaign:
+    @pytest.mark.parametrize("max_diangles", [1, 3, 10])
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_matches_per_object_checks(self, kind, max_diangles):
+        trials, seed = 60, 5
+        lhs, rhs, checked = inequalities.campaign_values(kind, seed, range(trials), max_diangles)
+        reports, _ = reference_campaign(kind, trials, seed, max_diangles, 1e-9)
+        assert list(checked) == [rep is not None for rep in reports]
+        for i, rep in enumerate(reports):
+            if rep is not None:
+                scale = 1e-12 * (1 + abs(rep.lhs) + abs(rep.rhs))
+                assert abs((lhs[i] - rhs[i]) - rep.slack) <= scale, (i, rep)
+        for tol in (1e-9, 0.0, SPLIT_TOL[kind]):
+            reports, violations = reference_campaign(kind, trials, seed, max_diangles, tol)
+            done = [rep for rep in reports if rep is not None]
+            got = inequalities.campaign(kind, trials, seed, max_diangles, tol)
+            assert type(got["violations"]) is int
+            assert got["violations"] == violations
+            assert got["min_slack"] == pytest.approx(min(rep.slack for rep in done), rel=1e-12, abs=1e-12)
+            if kind == "bmgen":
+                assert type(got["checked"]) is int
+                assert got["checked"] == len(done)
+            else:
+                assert "checked" not in got
+
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_split_tolerance_counts_some_violations(self, kind):
+        got = inequalities.campaign(kind, 60, 5, 10, SPLIT_TOL[kind])
+        assert 0 < got["violations"] < got.get("checked", 60)
+
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_empty_campaign(self, kind):
+        got = inequalities.campaign(kind, 0, 3, 10, 1e-9)
+        assert got["violations"] == 0 and got["min_slack"] is None
+        assert got.get("checked", 0) == 0
+
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_trial_bits_do_not_depend_on_batch(self, kind, monkeypatch):
+        batch = inequalities.campaign_values(kind, 11, range(300), 10)
+        for i in (0, 1, 57, 150, 299):
+            alone = inequalities.campaign_values(kind, 11, range(i, i + 1), 10)
+            for whole, one in zip(batch, alone):
+                assert whole[i].tobytes() == one[0].tobytes()
+        whole = inequalities.campaign(kind, 300, 11, 10, 1e-9)
+        monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 7 * 20 * 20)  # chunks of 7 trials
+        assert inequalities.campaign(kind, 300, 11, 10, 1e-9) == whole
+
+    def test_random_atoms_makes_the_random_body_draws(self):
+        for seed in range(20):
+            rng_a, rng_b = generators.trial_rng(seed, 0), generators.trial_rng(seed, 0)
+            angles, lengths, radius = generators.random_atoms(rng_a, 10)
+            assert generators.random_body(rng_b, 10) == bodies.body(list(zip(angles, lengths)), radius)
+            assert rng_a.random() == rng_b.random()

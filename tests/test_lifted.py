@@ -118,6 +118,34 @@ class TestBilinearM:
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+class TestSignedAtoms:
+    def test_atoms(self):
+        angles, weights, radius = SB.atoms
+        assert list(angles) == [0.0, PI / 2]
+        assert list(weights) == [0.5, 0.5]
+        assert radius == -1.0
+        assert list(z.lift(B, S).atoms[1]) == [-0.5, -0.5]
+
+    def test_measure_ext_matches_area_polarization(self, rng):
+        for _ in range(200):
+            x = random_lifted(rng)
+            p, m = x.plus, x.minus
+            want = 2 * z.area(p) + 2 * z.area(m) - z.area(z.minkowski_add(p, m))
+            assert z.measure_ext(x) == pytest.approx(want, rel=1e-12, abs=1e-12 * (1 + z.area(z.minkowski_add(p, m))))
+
+    def test_bilinear_M_matches_four_mixed_areas(self, rng):
+        for _ in range(200):
+            x, y = random_lifted(rng), random_lifted(rng)
+            terms = [
+                z.mixed_area(x.plus, y.plus),
+                z.mixed_area(x.minus, y.minus),
+                -z.mixed_area(x.plus, y.minus),
+                -z.mixed_area(x.minus, y.plus),
+            ]
+            scale = 1 + sum(abs(t) for t in terms)
+            assert z.bilinear_M(x, y) == pytest.approx(sum(terms), abs=1e-12 * scale)
+
+
 class TestPerimeterExt:
     def test_square_minus_disc(self):
         assert z.perimeter_ext(SB) == pytest.approx(4 - 2 * PI, abs=0)
