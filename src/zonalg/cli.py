@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure (an inequality violated
 beyond tolerance), 2 usage or input error, 3 internal error (an unexpected
-exception, reported as one `error:` line on stderr).  Output is JSON on stdout
+exception).  Exits 2 and 3 print one `error:` line on stderr and nothing on
+stdout.  Output is JSON on stdout
 unless --csv/--svg is given; identical arguments and seed produce
 byte-identical output.
 """
@@ -287,9 +288,16 @@ def _finite_at_least(lo: float):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zonalg", description=__doc__)
+    parser = _Parser(prog="zonalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_out(p):
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="fuzz an inequality")
     p_check.add_argument("inequality", choices=sorted(inequalities.CAMPAIGN_BODIES))
     p_check.add_argument("--trials", type=_int_at_least(0), default=1000)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
     p_check.add_argument("--max-diangles", type=_int_at_least(1), default=10)
     p_check.add_argument("--tol", type=_finite_at_least(0.0), default=1e-9, help="finite, >= 0")
     add_out(p_check)
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("action", choices=["gram", "eig", "eval", "interp"])
     p_kernel.add_argument("file", nargs="?", help="lifted vector (eval) or width function (interp) JSON")
     p_kernel.add_argument("--nodes", type=_int_at_least(1), default=16, help="grid size (eval needs >= 2)")
-    p_kernel.add_argument("--ridge", type=float, default=0.0)
+    p_kernel.add_argument("--ridge", type=_finite_at_least(0.0), default=0.0, help="finite, >= 0")
     p_kernel.add_argument("--csv", action="store_true")
     add_out(p_kernel)
     p_kernel.set_defaults(func=_cmd_kernel, error=p_kernel.error)
@@ -352,7 +360,7 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse, on --help or a usage error
         return 2 if exc.code not in (0, None) else 0
-    except (ZonalgError, OSError, json.JSONDecodeError) as exc:
+    except (ZonalgError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not a verdict: never exit 1

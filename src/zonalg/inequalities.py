@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies, generators, lifted
-from .bodies import ANGLE_TOL, PI, Body, Diangle, Direction, atom_form, canonicalize, support_many
+from .bodies import ANGLE_TOL, PI, Body, Direction, atom_form, support_many
 from .errors import DegenerateDirectionError, DomainError, UnsupportedRepresentationError
 from .lifted import LiftedVector, bilinear_M, deficit, eps_form, measure_ext, perimeter_ext
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
+# Relative half-length difference below which a reduction step cancels a
+# shared direction completely.
+NEAR_CANCEL = 1e-12
 
 
 def scaled_tol(lhs: float, rhs: float, tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> float:
@@ -219,9 +222,10 @@ def singular_candidates(u: Body, v: Body) -> np.ndarray:
     """Rotation angles aligning some diangle of v with some diangle of u."""
     diffs = np.mod(u._angles[:, None] - v._angles[None, :], PI).ravel()
     diffs[PI - diffs <= ANGLE_TOL] = 0.0
-    cands = np.sort(np.unique(diffs))
-    if len(cands) == 0:
+    cands = np.unique(diffs)
+    if np.all(np.diff(cands) > ANGLE_TOL):
         return cands
+    # Chained rule: each candidate is compared with the last one kept.
     keep = [0]
     for i in range(1, len(cands)):
         if cands[i] - cands[keep[-1]] > ANGLE_TOL:
@@ -272,41 +276,6 @@ class ReductionTrace:
     witness_sign: int = field(default=1)
 
 
-def _cancel_shared(u: Body, v: Body) -> tuple[Body, Body, Direction | None]:
-    """Subtract the common part in every shared direction.
-
-    Near-equal half-lengths (within 1e-12 relative) cancel completely to
-    avoid residual slivers.  Returns the first fully cancelled direction.
-    """
-    out_u: list[Diangle] = []
-    out_v: list[Diangle] = []
-    cancelled: Direction | None = None
-    pu, pv = list(u.diangles), list(v.diangles)
-    i = j = 0
-    while i < len(pu) and j < len(pv):
-        du, dv = pu[i], pv[j]
-        if du.dir.close_to(dv.dir, ANGLE_TOL):
-            rem = du.half_length - dv.half_length
-            close = abs(rem) <= 1e-12 * max(du.half_length, dv.half_length)
-            if cancelled is None:
-                cancelled = du.dir
-            if not close and rem > 0:
-                out_u.append(Diangle(du.dir, rem))
-            elif not close and rem < 0:
-                out_v.append(Diangle(dv.dir, -rem))
-            i += 1
-            j += 1
-        elif du.dir.angle < dv.dir.angle:
-            out_u.append(du)
-            i += 1
-        else:
-            out_v.append(dv)
-            j += 1
-    out_u.extend(pu[i:])
-    out_v.extend(pv[j:])
-    return canonicalize(out_u), canonicalize(out_v), cancelled
-
-
 def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     """Reduce (u, v) to a single witness polygon.
 
@@ -321,7 +290,7 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     while u.diangles and v.diangles:
         phi_star, f_min = singular_min(u, v)
         v = bodies.rotate(v, phi_star)
-        u, v, cancelled = _cancel_shared(u, v)
+        u, v, cancelled = lifted.cancel_shared(u, v, near=NEAR_CANCEL)
         assert cancelled is not None
         steps.append(
             ReductionStep(

@@ -21,6 +21,7 @@ from .bodies import (
     UNIT_DISC,
     Body,
     Diangle,
+    Direction,
     atom_form,
     canonicalize,
     hausdorff,
@@ -62,20 +63,29 @@ class LiftedVector:
         return scale_real(self, lam)
 
 
-def lift(u: Body, v: Body) -> LiftedVector:
-    """Canonical representative of the class of (u, v): cancel shared summands."""
-    pu, pv = list(u.diangles), list(v.diangles)
+def cancel_shared(u: Body, v: Body, near: float = 0.0) -> tuple[Body, Body, Direction | None]:
+    """Subtract the common part of u and v: every shared direction and the smaller disc.
+
+    A shared direction whose half-lengths differ by at most `near` times the
+    larger one cancels completely (no residual sliver).  Also returns the
+    first shared direction, or None when there is none.
+    """
+    pu, pv = u.diangles, v.diangles
     out_u: list[Diangle] = []
     out_v: list[Diangle] = []
+    cancelled: Direction | None = None
     i = j = 0
     while i < len(pu) and j < len(pv):
         du, dv = pu[i], pv[j]
         if du.dir.close_to(dv.dir, ANGLE_TOL):
             rem = du.half_length - dv.half_length
-            if rem > 0:
-                out_u.append(Diangle(du.dir, rem))
-            elif rem < 0:
-                out_v.append(Diangle(dv.dir, -rem))
+            if cancelled is None:
+                cancelled = du.dir
+            if abs(rem) > near * max(du.half_length, dv.half_length):
+                if rem > 0:
+                    out_u.append(Diangle(du.dir, rem))
+                else:
+                    out_v.append(Diangle(dv.dir, -rem))
             i += 1
             j += 1
         elif du.dir.angle < dv.dir.angle:
@@ -87,10 +97,13 @@ def lift(u: Body, v: Body) -> LiftedVector:
     out_u.extend(pu[i:])
     out_v.extend(pv[j:])
     r = min(u.disc_radius, v.disc_radius)
-    return LiftedVector(
-        canonicalize(out_u, u.disc_radius - r),
-        canonicalize(out_v, v.disc_radius - r),
-    )
+    return canonicalize(out_u, u.disc_radius - r), canonicalize(out_v, v.disc_radius - r), cancelled
+
+
+def lift(u: Body, v: Body) -> LiftedVector:
+    """Canonical representative of the class of (u, v): cancel shared summands."""
+    plus, minus, _ = cancel_shared(u, v)
+    return LiftedVector(plus, minus)
 
 
 def from_body(u: Body) -> LiftedVector:
@@ -197,6 +210,8 @@ def lifted_from_dict(obj: dict) -> LiftedVector:
         minus = bodies.body_from_dict(obj["minus"])
     except KeyError as exc:
         raise InvalidInputError(f"lifted vector JSON missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"lifted vector JSON malformed: {exc}") from exc
     return lift(plus, minus)
 
 

@@ -78,6 +78,8 @@ def width_function_from_dict(obj: dict) -> WidthFunction:
         values = tuple(float(v) for v in obj["values"])
     except KeyError as exc:
         raise InvalidInputError(f"width function JSON missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"width function JSON malformed: {exc}") from exc
     if len(nodes) != len(values):
         raise InvalidInputError("nodes and values must have equal length")
     return WidthFunction(nodes, values)

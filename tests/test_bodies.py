@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zonalg as z
-from zonalg import bodies, oracle
+from zonalg import bodies, generators, oracle
 from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import InvalidInputError, UnsupportedRepresentationError
 
@@ -239,6 +239,38 @@ class TestHausdorff:
         for _ in range(20):
             a, b = random_body(rng), random_body(rng)
             assert z.hausdorff(a, b) == pytest.approx(z.hausdorff(b, a), rel=1e-12)
+
+    @staticmethod
+    def _pairs(rng):
+        """Random pairs, plus discs, empty bodies, shared directions and near-copies."""
+        for _ in range(100):
+            a = generators.random_body(rng, max_diangles=12, disc_prob=0.5)
+            b = generators.random_body(rng, max_diangles=12, disc_prob=0.5)
+            r = float(rng.uniform(0.0, 3.0))
+            yield a, b
+            yield a, z.ORIGIN
+            yield a, z.disc(r)
+            yield z.disc(r), z.ORIGIN
+            # parallel directions: b shares a's directions, once with the same
+            # half-lengths (plus an extra diangle), once with other lengths
+            yield a, z.body([(d.dir.angle, d.half_length) for d in a.diangles] + [(1.0, 0.5)], a.disc_radius)
+            yield a, z.body([(d.dir.angle, float(rng.uniform(0.01, 5.0))) for d in a.diangles], r)
+            yield a, z.rotate(a, 1e-13)
+            yield a, z.scale(a, 1.0 + 1e-15)
+        yield z.ORIGIN, z.ORIGIN
+
+    def test_matches_grid_oracle(self, rng):
+        # The sup over a 4096-point grid is a lower bound, and the sup lies
+        # within half a grid step of a grid point, where |h_a - h_b| moves by
+        # at most L per radian (L = total half-length).
+        thetas = np.linspace(0.0, PI, 4096, endpoint=False)
+        for a, b in self._pairs(rng):
+            total = float(a._lengths.sum() + b._lengths.sum())
+            grid_max = float(np.max(np.abs(bodies.support_many(a, thetas) - bodies.support_many(b, thetas))))
+            h = z.hausdorff(a, b)
+            assert h >= grid_max - 1e-13 * (1.0 + total), (a, b)
+            assert h <= grid_max + total * PI / 8192, (a, b)
+            assert h == pytest.approx(z.hausdorff(b, a), rel=0, abs=1e-13 * (1.0 + total)), (a, b)
 
 
 class TestInvariants:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zonalg as z
 from zonalg.bodies import PI
@@ -147,6 +151,9 @@ class TestExitCodes:
             ["check", "iso", "--tol", "nan"],
             ["check", "bm", "--tol", "inf"],
             ["check", "schwarz", "--tol", "-1"],
+            ["check", "iso", "--seed", "-1"],
+            ["kernel", "interp", "widthfn.json", "--ridge", "nan"],
+            ["kernel", "interp", "widthfn.json", "--ridge", "-1e-3"],
         ],
         ids=" ".join,
     )
@@ -160,6 +167,27 @@ class TestExitCodes:
     def test_rotation_fn_without_diangles_is_input_error(self, files, capsys):
         # A disc or an empty body has no singular position.
         assert run(resolve(["rotation-fn", *files])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["lift", "stats"], "[]"),
+            (["reduce"], "[]"),
+            (["kernel", "eval"], "[]"),
+            (["lift", "stats"], '{"plus": {"diangles": [], "disc": 0.0}, "minus": 3}'),
+            (["kernel", "interp"], '{"nodes": 5, "values": [1]}'),
+            (["kernel", "interp"], "[]"),
+            (["kernel", "interp"], '{"nodes": ["a"], "values": [1]}'),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_json_of_wrong_shape_is_input_error(self, argv, text, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert run([*argv, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -210,3 +238,103 @@ class TestExitCodes:
             assert out.stdout.startswith("usage: zonalg"), (cmd, out.stdout)
             bad = subprocess.run(cmd + ["frobnicate"], capture_output=True, text=True, env=env)
             assert bad.returncode == 2, (cmd, bad.stderr)
+
+
+# Small malformed inputs for the contract fuzz: wrong JSON shapes, wrong
+# field types, non-finite and out-of-range numbers, and bytes that are not
+# text.
+MALFORMED = {
+    "m_list.json": "[]",
+    "m_number.json": "1",
+    "m_string.json": '"square"',
+    "m_null.json": "null",
+    "m_empty.json": "",
+    "m_object.json": "{}",
+    "m_diangles_type.json": '{"diangles": 5, "disc": 0.0}',
+    "m_angle_type.json": '{"diangles": [{"angle": "x", "d": 1.0}], "disc": 0.0}',
+    "m_angle_nan.json": '{"diangles": [{"angle": NaN, "d": 1.0}], "disc": 0.0}',
+    "m_angle_inf.json": '{"diangles": [{"angle": 1e400, "d": 1.0}], "disc": 0.0}',
+    "m_angle_bigint.json": '{"diangles": [{"angle": 1' + "0" * 400 + ', "d": 1.0}], "disc": 0.0}',
+    "m_disc_inf.json": '{"diangles": [], "disc": Infinity}',
+    "m_plus_list.json": '{"plus": [], "minus": {"diangles": [], "disc": 0.0}}',
+    "m_minus_number.json": '{"plus": {"diangles": [], "disc": 0.0}, "minus": 3}',
+    "m_nodes_number.json": '{"nodes": 5, "values": [1]}',
+    "m_nodes_nested.json": '{"nodes": [[0.0]], "values": [1.0]}',
+    "m_nodes_nan.json": '{"nodes": [0.0, NaN], "values": [1.0, 2.0]}',
+    "m_values_inf.json": '{"nodes": [0.0, 1.0], "values": [1.0, Infinity]}',
+    "m_values_bigint.json": '{"nodes": [0.0, 1.0], "values": [1.0, 1' + "0" * 400 + "]}",
+    "m_nodes_unequal.json": '{"nodes": [0.0, 1.0], "values": [1.0]}',
+    "m_nodes_empty.json": '{"nodes": [], "values": []}',
+    "m_binary.json": b"\xff\xfe\x00{",
+}
+FUZZ_FILES = sorted(p.name for p in DATA.glob("*.json")) + sorted(MALFORMED) + ["m_missing.json"]
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "3.2", "1e-300", "1e308", "nan", "inf", "-inf", "x"]),
+    st.floats(-10.0, 10.0).map(repr),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for path in DATA.glob("*.json"):
+        shutil.copy(path, root / path.name)
+    for name, content in MALFORMED.items():
+        (root / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    return root
+
+
+@st.composite
+def cli_argv(draw):
+    """argv over every subcommand; file names are resolved by the test."""
+    file = lambda: draw(st.sampled_from(FUZZ_FILES))  # noqa: E731
+    maybe = lambda flag, values: [flag, draw(values)] if draw(st.booleans()) else []  # noqa: E731
+    command = draw(st.sampled_from(["body", "lift", "check", "reduce", "kernel", "rotation-fn"]))
+    if command == "body":
+        return ["body", draw(st.sampled_from(["stats", "vertices", "svg"])), file()] + maybe(
+            "--polygonize-disc", st.integers(-2, 64).map(str)
+        )
+    if command == "lift":
+        action = draw(st.sampled_from(["stats", "add", "scale", "eval"]))
+        argv = ["lift", action, file()]
+        if action == "add" or draw(st.booleans()):
+            argv.append(file())
+        return argv + [f"--value={draw(NUMBERS)}"] * draw(st.booleans())
+    if command == "check":
+        return (
+            ["check", draw(st.sampled_from(["iso", "bm", "bmgen", "schwarz", "nope"]))]
+            + maybe("--trials", st.integers(-1, 50).map(str))
+            + maybe("--seed", st.integers(-1, 2**64).map(str))
+            + maybe("--max-diangles", st.integers(-1, 12).map(str))
+            + [f"--tol={draw(NUMBERS)}"] * draw(st.booleans())
+        )
+    if command == "reduce":
+        return ["reduce", file()] + maybe("--polygonize-disc", st.integers(-2, 64).map(str))
+    if command == "kernel":
+        action = draw(st.sampled_from(["gram", "eig", "eval", "interp"]))
+        argv = ["kernel", action] + [file()] * draw(st.booleans())
+        argv += maybe("--nodes", st.integers(-1, 64).map(str))
+        argv += [f"--ridge={draw(NUMBERS)}"] * draw(st.booleans())
+        return argv + ["--csv"] * draw(st.booleans())
+    return ["rotation-fn", file(), file()] + maybe("--nodes", st.integers(-1, 64).map(str)) + ["--csv"] * draw(
+        st.booleans()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_cli_contract_fuzz(fuzz_dir, argv):
+    # Exit 0 on success, 1 only for a check with a counted violation, 2 with
+    # one error line and no output; never 3, and never NaN/Infinity in output.
+    argv = [str(fuzz_dir / a) if a in FUZZ_FILES else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, stderr)
+    if code == 1:
+        assert argv[0] == "check" and json.loads(stdout)["violations"] > 0, (argv, stdout)
+    if code == 2:
+        assert stdout == "", (argv, stdout)
+        assert stderr.count("\n") == 1 and "error: " in stderr, (argv, stderr)
+    assert "NaN" not in stdout and "Infinity" not in stdout, (argv, stdout)
