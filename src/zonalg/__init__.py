@@ -6,7 +6,6 @@ generalized isoperimetric inequality, and an inner product whose
 reproducing kernel on [0, pi] is K(phi, psi) = 2 - (pi/2) sin|phi - psi|.
 """
 
-from ._backend import BACKEND
 from .bodies import (
     ORIGIN,
     UNIT_DISC,

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._backend import support_batch
 from .errors import InvalidInputError, UnsupportedRepresentationError
 
 PI = math.pi
@@ -162,11 +161,15 @@ def rotate(a: Body, phi: float) -> Body:
 
 
 def support(a: Body, theta: float) -> float:
-    return float(support_batch(a._angles, a._lengths, a.disc_radius, np.array([theta]))[0])
+    return float(support_many(a, np.array([theta]))[0])
 
 
 def support_many(a: Body, thetas: np.ndarray) -> np.ndarray:
-    return support_batch(a._angles, a._lengths, a.disc_radius, thetas)
+    """Support function sum(d_j |cos(theta - theta_j)|) + r at each theta."""
+    thetas = np.asarray(thetas, dtype=float)
+    if len(a._angles) == 0:
+        return np.full(thetas.shape, a.disc_radius, dtype=float)
+    return np.abs(np.cos(thetas[:, None] - a._angles[None, :])) @ a._lengths + a.disc_radius
 
 
 def width(a: Body, phi: float | Direction) -> float:

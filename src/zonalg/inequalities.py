@@ -92,33 +92,10 @@ def check_schwarz_deficit(
 # Bodies drawn per trial, in draw order.  iso and bm draw (u, v); bmgen and
 # schwarz draw x = [u, v] and then y = [u', v'].
 CAMPAIGN_BODIES = {"iso": 2, "bm": 2, "bmgen": 4, "schwarz": 4}
-# Bound on the entries of one chunk's (n, k, k) sine tensor.
+# Bound on the entries of one batch's (n, k, k) sine tensor.
 CHUNK_ENTRIES = 1 << 22
-
-
-def _campaign_atoms(seed: int, trials: range, max_diangles: int, count: int):
-    """The draws of the given trials as zero-padded atom arrays.
-
-    Returns angles and half-lengths of shape (len(trials), count,
-    max_diangles) and disc radii of shape (len(trials), count).  Body b of
-    trial i is the b-th random_body drawn from trial_rng(seed, i).
-    """
-    sizes, radii, angle_parts, length_parts = [], [], [], []
-    for trial in trials:
-        rng = generators.trial_rng(seed, trial)
-        for _ in range(count):
-            angles, lengths, radius = generators.random_atoms(rng, max_diangles)
-            sizes.append(len(angles))
-            radii.append(radius)
-            angle_parts.append(angles)
-            length_parts.append(lengths)
-    shape = (len(trials), count, max_diangles)
-    filled = np.arange(max_diangles) < np.reshape(sizes, shape[:2] + (1,))
-    angles, lengths = np.zeros(shape), np.zeros(shape)
-    if angle_parts:
-        angles[filled] = np.concatenate(angle_parts)
-        lengths[filled] = np.concatenate(length_parts)
-    return angles, lengths, np.reshape(radii, shape[:2])
+# Bound on the raw generator outputs of one chunk of trials.
+DRAW_ENTRIES = 1 << 19
 
 
 def _body(atoms, i: int):
@@ -141,16 +118,9 @@ def _perimeter(x) -> np.ndarray:
     return 4.0 * weights.sum(-1) + 2.0 * PI * radius
 
 
-def campaign_values(kind: str, seed: int, trials: range, max_diangles: int = 10):
-    """Per-trial (lhs, rhs, checked) of a campaign over the given trials.
-
-    The inequality is lhs >= rhs on the trials where `checked` holds (bmgen
-    skips vectors of nonpositive measure).  Rows are padded to
-    2 * max_diangles atoms whatever the trials are, so a trial's values are
-    the same bits alone or in any batch.
-    """
-    atoms = _campaign_atoms(seed, trials, max_diangles, CAMPAIGN_BODIES[kind])
-    all_checked = np.ones(len(trials), dtype=bool)
+def _values(kind: str, atoms):
+    """Per-trial (lhs, rhs, checked) from the padded atoms of each trial's bodies."""
+    all_checked = np.ones(len(atoms[2]), dtype=bool)
     if kind == "bm":
         u, v, s = _body(atoms, 0), _body(atoms, 1), _combine(atoms, 0, 1, 1.0)
         lhs = np.sqrt(atom_form(*s, *s))
@@ -167,24 +137,52 @@ def campaign_values(kind: str, seed: int, trials: range, max_diangles: int = 10)
     return np.sqrt(np.maximum(dx, 0.0)) * np.sqrt(np.maximum(dy, 0.0)), ox * oy - 4.0 * PI * bxy, all_checked
 
 
+def campaign_values(kind: str, seed: int, trials: range, max_diangles: int = 10):
+    """Per-trial (lhs, rhs, checked) of a campaign over the given trials.
+
+    The inequality is lhs >= rhs on the trials where `checked` holds (bmgen
+    skips vectors of nonpositive measure).  Body b of trial t is the b-th
+    random_body drawn from trial_rng(seed, t).  Each trial's bodies are
+    padded to the largest of them, so a trial's values are the same bits
+    alone or in any batch, whatever max_diangles is.
+    """
+    draws = generators.draw_atoms(seed, trials, CAMPAIGN_BODIES[kind], max_diangles)
+    # Sorted by width, each group of equal width is one slice.
+    order = np.argsort(draws[0].max(axis=1, initial=0), kind="stable")
+    sizes, angles, lengths, radii = (a[order] for a in draws)
+    widths = sizes.max(axis=1, initial=0)
+    out = np.zeros((3, len(order)))
+    start = 0
+    while start < len(order):
+        w = int(widths[start])
+        stop = min(int(np.searchsorted(widths, w, "right")), start + max(1, CHUNK_ENTRIES // (2 * w) ** 2))
+        atoms = angles[start:stop, :, :w], lengths[start:stop, :, :w], radii[start:stop]
+        out[:, order[start:stop]] = _values(kind, atoms)
+        start = stop
+    lhs, rhs, checked = out
+    return lhs, rhs, checked.astype(bool)
+
+
 def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: float = TOL_ABS) -> dict:
     """Fuzz one inequality over trials 0 .. trials-1 of seed.
 
     Returns the violation count and the smallest slack (None when nothing
     was checked), plus the number of checked trials for bmgen.  iso counts
-    deficit < -tol*(1 + o^2); the others count a failed check_* report.
+    deficit < -tol*(1 + o^2); the others count a failed check_* report.  A
+    tolerance so large that its bound overflows counts nothing.
     """
-    step = max(1, CHUNK_ENTRIES // (2 * max_diangles) ** 2)
+    step = max(1, DRAW_ENTRIES // (CAMPAIGN_BODIES[kind] * (2 * max_diangles + 3)))
     violations = checked = 0
     worst = math.inf
     for start in range(0, trials, step):
         lhs, rhs, ok = campaign_values(kind, seed, range(start, min(trials, start + step)), max_diangles)
         lhs, rhs = lhs[ok], rhs[ok]
         slack = lhs - rhs
-        if kind == "iso":
-            violated = slack < -tol * (1.0 + lhs)
-        else:
-            violated = ~(slack >= -scaled_tol(lhs, rhs, tol, tol))
+        with np.errstate(over="ignore"):
+            if kind == "iso":
+                violated = slack < -tol * (1.0 + lhs)
+            else:
+                violated = ~(slack >= -scaled_tol(lhs, rhs, tol, tol))
         violations += int(np.count_nonzero(violated))
         checked += len(slack)
         if len(slack):

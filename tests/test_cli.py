@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["bm", "bmgen", "iso", "schwarz"])
+    def test_huge_tolerance_is_quiet(self, kind, capsys):
+        # Its bound tol * (1 + lhs) overflows to inf: nothing is counted, nothing warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check", kind, "--trials", "50", "--tol", "1e308"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["violations"] == 0
 
     def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
         def boom(_):

@@ -298,10 +298,10 @@ SPLIT_TOL = {"iso": -1.1, "bm": -0.1, "bmgen": -0.4, "schwarz": -0.85}
 
 
 class TestCampaign:
-    @pytest.mark.parametrize("max_diangles", [1, 3, 10])
+    @pytest.mark.parametrize("max_diangles", [1, 3, 10, 60, 300])
     @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
     def test_matches_per_object_checks(self, kind, max_diangles):
-        trials, seed = 60, 5
+        trials, seed = (60 if max_diangles <= 10 else 8), 5
         lhs, rhs, checked = inequalities.campaign_values(kind, seed, range(trials), max_diangles)
         reports, _ = reference_campaign(kind, trials, seed, max_diangles, 1e-9)
         assert list(checked) == [rep is not None for rep in reports]
@@ -333,16 +333,27 @@ class TestCampaign:
         assert got["violations"] == 0 and got["min_slack"] is None
         assert got.get("checked", 0) == 0
 
-    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
-    def test_trial_bits_do_not_depend_on_batch(self, kind, monkeypatch):
-        batch = inequalities.campaign_values(kind, 11, range(300), 10)
+    @staticmethod
+    def assert_trial_bits_alone_as_in_batch(kind, max_diangles):
+        batch = inequalities.campaign_values(kind, 11, range(300), max_diangles)
         for i in (0, 1, 57, 150, 299):
-            alone = inequalities.campaign_values(kind, 11, range(i, i + 1), 10)
+            alone = inequalities.campaign_values(kind, 11, range(i, i + 1), max_diangles)
             for whole, one in zip(batch, alone):
                 assert whole[i].tobytes() == one[0].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_trial_bits_do_not_depend_on_batch(self, kind, monkeypatch):
+        self.assert_trial_bits_alone_as_in_batch(kind, 10)
         whole = inequalities.campaign(kind, 300, 11, 10, 1e-9)
-        monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 7 * 20 * 20)  # chunks of 7 trials
+        # draw chunks of 7 trials (2 m + 3 outputs per body), sine batches of at most 7 trials
+        monkeypatch.setattr(inequalities, "DRAW_ENTRIES", 7 * 23 * inequalities.CAMPAIGN_BODIES[kind])
+        monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 7 * 20 * 20)
         assert inequalities.campaign(kind, 300, 11, 10, 1e-9) == whole
+
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_trial_bits_do_not_depend_on_batch_at_width_300(self, kind):
+        # Each trial is padded to its own largest body, not to max_diangles.
+        self.assert_trial_bits_alone_as_in_batch(kind, 300)
 
     def test_random_atoms_makes_the_random_body_draws(self):
         for seed in range(20):
