@@ -11,14 +11,11 @@ from .bodies import (
     UNIT_DISC,
     UNIT_SQUARE,
     Body,
-    Diangle,
-    Direction,
     Point,
     area,
     atom_form,
     body,
     canonicalize,
-    diangle,
     disc,
     hausdorff,
     minkowski_add,

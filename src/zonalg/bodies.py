@@ -1,8 +1,11 @@
 """Centrally symmetric convex bodies in the plane.
 
 A body is a finite Minkowski sum of centered segments ("diangles") plus an
-exact disc component.  All quantities (support, width, area, perimeter,
-mixed area, Hausdorff distance) have closed forms in this representation.
+exact disc component.  It is stored as atoms: sorted arrays of direction
+angles and half-lengths, plus the disc radius.  All quantities (support,
+width, area, perimeter, mixed area, Hausdorff distance) have closed forms
+in this representation, and one tolerance merge (merge_atoms) makes atoms
+canonical for bodies, lifted vectors and the reduction alike.
 """
 
 from __future__ import annotations
@@ -10,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,46 +23,10 @@ PI = math.pi
 ANGLE_TOL = 1e-12
 
 
-def reduce_angle(angle: float) -> float:
-    """Reduce an angle mod pi into [0, pi); values within tol of pi fold to 0."""
-    a = math.fmod(angle, PI)
-    if a < 0.0:
-        a += PI
-    if PI - a <= ANGLE_TOL or a < 0.0:
-        a = 0.0
-    return a
-
-
-@dataclass(frozen=True, order=True)
-class Direction:
-    """A line direction, identified mod pi."""
-
-    angle: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise InvalidInputError("direction angle must be finite")
-        object.__setattr__(self, "angle", reduce_angle(self.angle))
-
-    def close_to(self, other: "Direction", tol: float = ANGLE_TOL) -> bool:
-        d = abs(self.angle - other.angle)
-        return min(d, PI - d) <= tol
-
-
-@dataclass(frozen=True)
-class Diangle:
-    """Centered segment [-d, d] along a direction."""
-
-    dir: Direction
-    half_length: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.half_length) or self.half_length < 0.0:
-            raise InvalidInputError(f"half_length must be >= 0, got {self.half_length}")
-
-
-def diangle(angle: float, half_length: float) -> Diangle:
-    return Diangle(Direction(angle), half_length)
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -69,28 +35,39 @@ class Point:
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Body:
-    """Canonical body: sorted distinct diangles plus a disc radius.
+    """Canonical body: atoms sorted by direction plus a disc radius.
 
-    Use canonicalize() / the helper constructors rather than building the
-    dataclass directly from unsorted input.
+    `angles` lie in [0, pi), each more than ANGLE_TOL above the one before,
+    and `lengths` are > 0; both are read-only float arrays.  Use
+    canonicalize() / the helper constructors rather than building the
+    dataclass directly from unsorted input.  Equality is exact.
     """
 
-    diangles: tuple[Diangle, ...] = ()
+    angles: np.ndarray = ()
+    lengths: np.ndarray = ()
     disc_radius: float = 0.0
 
-    @cached_property
-    def _angles(self) -> np.ndarray:
-        return np.array([d.dir.angle for d in self.diangles], dtype=float)
+    def __post_init__(self):
+        object.__setattr__(self, "angles", _frozen(self.angles))
+        object.__setattr__(self, "lengths", _frozen(self.lengths))
 
-    @cached_property
-    def _lengths(self) -> np.ndarray:
-        return np.array([d.half_length for d in self.diangles], dtype=float)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Body):
+            return NotImplemented
+        return (
+            self.disc_radius == other.disc_radius
+            and np.array_equal(self.angles, other.angles)
+            and np.array_equal(self.lengths, other.lengths)
+        )
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.angles.tolist()), tuple(self.lengths.tolist()), self.disc_radius))
 
     @property
     def is_origin(self) -> bool:
-        return not self.diangles and self.disc_radius == 0.0
+        return not len(self.angles) and self.disc_radius == 0.0
 
     @property
     def is_zonogon(self) -> bool:
@@ -103,29 +80,80 @@ class Body:
         return scale(self, lam)
 
 
-def canonicalize(raw: Iterable[Diangle], disc_radius: float = 0.0) -> Body:
-    """Merge parallel diangles, drop zero lengths, sort by direction."""
+def group_starts(angles: np.ndarray) -> np.ndarray:
+    """Mask of the angles of a sorted array that open a group.
+
+    An angle opens a new group when it lies more than ANGLE_TOL above the
+    first angle of the current group (the chained rule), so a group spans at
+    most ANGLE_TOL however many angles it holds.
+    """
+    starts = np.empty(len(angles), dtype=bool)
+    starts[:1] = True
+    np.greater(angles[1:] - angles[:-1], ANGLE_TOL, out=starts[1:])
+    # Only a run of three or more close angles can hold one past its group's span.
+    while np.count_nonzero(starts[:-1] | starts[1:]) < len(angles) - 1:
+        first = np.maximum.accumulate(np.where(starts, np.arange(len(angles)), 0))
+        far = angles - angles[first] > ANGLE_TOL
+        if not np.count_nonzero(far):
+            break
+        # The far angles of a group form a run; the run's first opens a group.
+        starts[1:] |= far[1:] & ~far[:-1]
+    return starts
+
+
+def merge_atoms(angles: np.ndarray, weights: np.ndarray, near: float = 0.0):
+    """The tolerance merge of signed atoms (folded angle, finite weight).
+
+    Sorts the atoms by (angle, weight), groups them by group_starts and sums
+    each group's weights in that order.  Drops a group whose |sum| is at
+    most `near` times its largest |weight| (for near = 0: a zero sum).  A
+    kept group takes the angle of its first atom, or of its second when the
+    first has the opposite sign of the sum; a group of one canonical body's
+    atoms with + and another's with - holds at most one of each.  Returns
+    the kept (angles, sums), sorted, and the angle of the positive atom
+    where the weights first change sign in a group, or None.
+    """
+    order = np.lexsort((weights, angles))
+    a, w = angles[order], weights[order]
+    starts = group_starts(a)
+    first = starts.nonzero()[0]
+    if len(first) == len(a):  # nothing merges; a lone atom's |sum| is its peak
+        keep = w != 0.0
+        return a[keep], w[keep], None
+    sums = np.zeros(len(first))
+    np.add.at(sums, np.add.accumulate(starts, dtype=np.intp) - 1, w)  # in order: (w1 + w2) + w3 ...
+    if np.count_nonzero(np.isfinite(sums)) < len(sums):
+        raise InvalidInputError("merged half_length overflows to inf")
+    keep = np.abs(sums) > near * np.maximum.reduceat(np.abs(w), first)
+    negative = w < 0.0
+    pick = first + (negative[first] != (sums < 0.0))
+    turn = ((negative[1:] != negative[:-1]) & ~starts[1:]).nonzero()[0]
+    shared = float(a[turn[0] + negative[turn[0]]]) if len(turn) else None
+    return a[pick[keep]], sums[keep], shared
+
+
+def canonicalize(angles, lengths, disc_radius: float = 0.0) -> Body:
+    """Body from raw atoms: fold mod pi, merge parallel atoms, drop zero lengths, sort."""
+    angles = np.asarray(angles, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    ok = np.isfinite(angles) & np.isfinite(lengths) & (lengths >= 0.0)
+    if np.count_nonzero(ok) < len(ok):
+        i = int(np.argmin(ok))
+        raise InvalidInputError(f"diangle needs a finite angle and half_length >= 0, got ({angles[i]}, {lengths[i]})")
     if not math.isfinite(disc_radius) or disc_radius < 0.0:
         raise InvalidInputError(f"disc radius must be >= 0, got {disc_radius}")
-    items = sorted((d.dir.angle, d.half_length) for d in raw)
-    merged: list[tuple[float, float]] = []
-    for angle, length in items:
-        if merged and angle - merged[-1][0] <= ANGLE_TOL:
-            merged[-1] = (merged[-1][0], merged[-1][1] + length)
-        else:
-            merged.append((angle, length))
-    # wrap-around: a direction just below pi is parallel to one at 0
-    if len(merged) >= 2 and (merged[0][0] + PI) - merged[-1][0] <= ANGLE_TOL:
-        a0, l0 = merged[0]
-        merged[0] = (a0, l0 + merged[-1][1])
-        merged.pop()
-    kept = tuple(Diangle(Direction(a), l) for a, l in merged if l > 0.0)
-    return Body(kept, disc_radius)
+    # Fold mod pi into [0, pi); within ANGLE_TOL below pi goes to 0, so no group wraps around.
+    folded = np.fmod(angles, PI)
+    folded[folded < 0.0] += PI
+    folded[PI - folded <= ANGLE_TOL] = 0.0
+    a, w, _ = merge_atoms(folded, lengths)
+    return Body(a, w, float(disc_radius))
 
 
 def body(diangle_pairs: Sequence[tuple[float, float]], disc_radius: float = 0.0) -> Body:
     """Body from (angle, half_length) pairs."""
-    return canonicalize([diangle(a, d) for a, d in diangle_pairs], disc_radius)
+    atoms = np.asarray(diangle_pairs, dtype=float).reshape(-1, 2)
+    return canonicalize(atoms[:, 0], atoms[:, 1], disc_radius)
 
 
 def segment(angle: float, half_length: float) -> Body:
@@ -133,31 +161,28 @@ def segment(angle: float, half_length: float) -> Body:
 
 
 def disc(radius: float) -> Body:
-    return canonicalize([], radius)
+    return canonicalize([], [], radius)
 
 
 ORIGIN = Body()
-UNIT_DISC = Body((), 1.0)
+UNIT_DISC = Body(disc_radius=1.0)
 UNIT_SQUARE = body([(0.0, 0.5), (PI / 2, 0.5)])
 
 
 def minkowski_add(a: Body, b: Body) -> Body:
-    return canonicalize(a.diangles + b.diangles, a.disc_radius + b.disc_radius)
+    return canonicalize(
+        np.concatenate([a.angles, b.angles]), np.concatenate([a.lengths, b.lengths]), a.disc_radius + b.disc_radius
+    )
 
 
 def scale(a: Body, lam: float) -> Body:
     if not math.isfinite(lam) or lam < 0.0:
         raise InvalidInputError(f"scale factor must be >= 0, got {lam} (negation lives in the lifted space)")
-    return canonicalize(
-        [Diangle(d.dir, lam * d.half_length) for d in a.diangles], lam * a.disc_radius
-    )
+    return canonicalize(a.angles, lam * a.lengths, lam * a.disc_radius)
 
 
 def rotate(a: Body, phi: float) -> Body:
-    return canonicalize(
-        [Diangle(Direction(d.dir.angle + phi), d.half_length) for d in a.diangles],
-        a.disc_radius,
-    )
+    return canonicalize(a.angles + phi, a.lengths, a.disc_radius)
 
 
 def support(a: Body, theta: float) -> float:
@@ -167,15 +192,14 @@ def support(a: Body, theta: float) -> float:
 def support_many(a: Body, thetas: np.ndarray) -> np.ndarray:
     """Support function sum(d_j |cos(theta - theta_j)|) + r at each theta."""
     thetas = np.asarray(thetas, dtype=float)
-    if len(a._angles) == 0:
+    if len(a.angles) == 0:
         return np.full(thetas.shape, a.disc_radius, dtype=float)
-    return np.abs(np.cos(thetas[:, None] - a._angles[None, :])) @ a._lengths + a.disc_radius
+    return np.abs(np.cos(thetas[:, None] - a.angles[None, :])) @ a.lengths + a.disc_radius
 
 
-def width(a: Body, phi: float | Direction) -> float:
+def width(a: Body, phi: float) -> float:
     """Distance between the two supporting lines parallel to direction phi."""
-    angle = phi.angle if isinstance(phi, Direction) else phi
-    return 2.0 * support(a, angle + PI / 2)
+    return 2.0 * support(a, phi + PI / 2)
 
 
 def atom_form(a1, w1, r1, a2, w2, r2):
@@ -199,26 +223,26 @@ def atom_form(a1, w1, r1, a2, w2, r2):
 
 
 def area(a: Body) -> float:
-    return float(atom_form(a._angles, a._lengths, a.disc_radius, a._angles, a._lengths, a.disc_radius))
+    return float(atom_form(a.angles, a.lengths, a.disc_radius, a.angles, a.lengths, a.disc_radius))
 
 
 def perimeter(a: Body) -> float:
-    return 4.0 * float(a._lengths.sum()) + 2.0 * PI * a.disc_radius
+    return 4.0 * float(a.lengths.sum()) + 2.0 * PI * a.disc_radius
 
 
 def mixed_area(a: Body, b: Body) -> float:
     """Bilinear polarization of area: (area(a+b) - area(a) - area(b)) / 2."""
-    return float(atom_form(a._angles, a._lengths, a.disc_radius, b._angles, b._lengths, b.disc_radius))
+    return float(atom_form(a.angles, a.lengths, a.disc_radius, b.angles, b.lengths, b.disc_radius))
 
 
 def vertices(a: Body) -> list[Point]:
     """Counterclockwise vertices of a pure zonogon."""
     if a.disc_radius != 0.0:
         raise UnsupportedRepresentationError("vertices requires disc_radius = 0; polygonize the disc first")
-    if not a.diangles:
+    if not len(a.angles):
         return [Point(0.0, 0.0)]
-    ux = a._lengths * np.cos(a._angles)
-    uy = a._lengths * np.sin(a._angles)
+    ux = a.lengths * np.cos(a.angles)
+    uy = a.lengths * np.sin(a.angles)
     x, y = -ux.sum(), -uy.sum()
     pts = [Point(float(x), float(y))]
     for dx, dy in zip(2.0 * ux, 2.0 * uy):
@@ -239,8 +263,8 @@ def _support_diff_candidates(a: Body, b: Body) -> np.ndarray:
     A cos(theta) + B sin(theta) + r, whose |.| peaks at a kink or at
     atan2(B, A) mod pi (h is pi-periodic).  All intervals are done at once.
     """
-    angles = np.concatenate([a._angles, b._angles])
-    coefs = np.concatenate([a._lengths, -b._lengths])
+    angles = np.concatenate([a.angles, b.angles])
+    coefs = np.concatenate([a.lengths, -b.lengths])
     if len(angles) == 0:
         return np.array([0.0])
     kinks = np.unique(np.mod(angles + PI / 2, PI))
@@ -274,15 +298,15 @@ def bodies_close(a: Body, b: Body, tol: float = 1e-10) -> bool:
 
 def body_to_dict(a: Body) -> dict:
     return {
-        "diangles": [{"angle": d.dir.angle, "d": d.half_length} for d in a.diangles],
+        "diangles": [{"angle": t, "d": h} for t, h in zip(a.angles.tolist(), a.lengths.tolist())],
         "disc": a.disc_radius,
     }
 
 
 def body_from_dict(obj: dict) -> Body:
     try:
-        raw = [diangle(float(item["angle"]), float(item["d"])) for item in obj["diangles"]]
-        return canonicalize(raw, float(obj["disc"]))
+        pairs = [(float(item["angle"]), float(item["d"])) for item in obj["diangles"]]
+        return body(pairs, float(obj["disc"]))
     except KeyError as exc:
         raise InvalidInputError(f"body JSON missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -61,7 +61,7 @@ def _body_stats(a: Body) -> dict:
     return {
         "area": bodies.area(a),
         "perimeter": bodies.perimeter(a),
-        "num_diangles": len(a.diangles),
+        "num_diangles": len(a.angles),
         "disc": a.disc_radius,
         "support_max": bodies.hausdorff(a, bodies.ORIGIN),
     }
@@ -79,10 +79,10 @@ def body_svg(a: Body, grid: int = 256) -> str:
         f'stroke-width="{half / 200:.6g}">\n'
     )
     r = a.disc_radius
-    if not a.diangles:
+    if not len(a.angles):
         shape = f'<circle cx="0" cy="0" r="{max(r, half / 400):.9g}"/>\n'
     else:
-        verts = bodies.vertices(Body(a.diangles, 0.0))
+        verts = bodies.vertices(Body(a.angles, a.lengths))
         if r == 0.0:
             pts = " ".join(f"{p.x:.9g},{p.y:.9g}" for p in verts)
             shape = f'<polygon points="{pts}"/>\n'
@@ -110,16 +110,19 @@ def body_svg(a: Body, grid: int = 256) -> str:
     return header + shape + "</g>\n</svg>\n"
 
 
+def _polygonize(a: Body, n: int) -> Body:
+    """a with its disc replaced by oracle.disc_polygon(r, n); a itself when n is 0 or a has no disc."""
+    if a.disc_radius > 0 and n:
+        return bodies.minkowski_add(Body(a.angles, a.lengths), oracle.disc_polygon(a.disc_radius, n))
+    return a
+
+
 def _cmd_body(args) -> int:
     a = _read_body(args.file)
     if args.action == "stats":
         _emit_json(_body_stats(a), args.out)
     elif args.action == "vertices":
-        if a.disc_radius > 0 and args.polygonize_disc:
-            a = bodies.minkowski_add(
-                Body(a.diangles, 0.0), oracle.disc_polygon(a.disc_radius, args.polygonize_disc)
-            )
-        pts = bodies.vertices(a)
+        pts = bodies.vertices(_polygonize(a, args.polygonize_disc))
         _emit_json({"vertices": [[p.x, p.y] for p in pts]}, args.out)
     else:  # svg
         _emit(body_svg(a), args.out)
@@ -172,13 +175,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_reduce(args) -> int:
     x = _read_lifted(args.file)
-    u, v = x.plus, x.minus
-    if args.polygonize_disc:
-        if u.disc_radius > 0:
-            u = bodies.minkowski_add(Body(u.diangles, 0.0), oracle.disc_polygon(u.disc_radius, args.polygonize_disc))
-        if v.disc_radius > 0:
-            v = bodies.minkowski_add(Body(v.diangles, 0.0), oracle.disc_polygon(v.disc_radius, args.polygonize_disc))
+    u, v = _polygonize(x.plus, args.polygonize_disc), _polygonize(x.minus, args.polygonize_disc)
     trace = inequalities.reduce_pair(u, v)
+    pair = lifted.lift(u, v)
     lines = [_dumps(step.to_dict()) for step in trace.steps]
     w = trace.witness
     ow, mw = bodies.perimeter(w), bodies.area(w)
@@ -189,8 +188,8 @@ def _cmd_reduce(args) -> int:
         "witness_sign": trace.witness_sign,
         "witness_perimeter": ow,
         "witness_area": mw,
-        "input_perimeter_ext": lifted.perimeter_ext(lifted.lift(u, v)),
-        "input_measure_ext": lifted.measure_ext(lifted.lift(u, v)),
+        "input_perimeter_ext": lifted.perimeter_ext(pair),
+        "input_measure_ext": lifted.measure_ext(pair),
         "classical_deficit_of_witness": ow * ow - 4 * PI * mw,
     }
     lines.append(_dumps(summary))
@@ -262,13 +261,13 @@ def _cmd_rotation_fn(args) -> int:
 # --- parser --------------------------------------------------------------
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer >= lo."""
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type: an integer in [lo, hi]."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be an integer in [{lo}, {hi}], got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -320,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="fuzz an inequality")
     p_check.add_argument("inequality", choices=sorted(inequalities.CAMPAIGN_BODIES))
-    p_check.add_argument("--trials", type=_int_at_least(0), default=1000)
-    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_check.add_argument("--max-diangles", type=_int_at_least(1), default=10)
+    p_check.add_argument("--trials", type=_int_in(0), default=1000)
+    p_check.add_argument("--seed", type=_int_in(0), default=0)
+    max_diangles = inequalities.MAX_DIANGLES
+    p_check.add_argument("--max-diangles", type=_int_in(1, max_diangles), default=10, help=f"at most {max_diangles}")
     p_check.add_argument("--tol", type=_finite_at_least(0.0), default=1e-9, help="finite, >= 0")
     add_out(p_check)
     p_check.set_defaults(func=_cmd_check)
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel = sub.add_parser("kernel", help="kernel matrices, eigenvalues, sampling, interpolation")
     p_kernel.add_argument("action", choices=["gram", "eig", "eval", "interp"])
     p_kernel.add_argument("file", nargs="?", help="lifted vector (eval) or width function (interp) JSON")
-    p_kernel.add_argument("--nodes", type=_int_at_least(1), default=16, help="grid size (eval needs >= 2)")
+    p_kernel.add_argument("--nodes", type=_int_in(1), default=16, help="grid size (eval needs >= 2)")
     p_kernel.add_argument("--ridge", type=_finite_at_least(0.0), default=0.0, help="finite, >= 0")
     p_kernel.add_argument("--csv", action="store_true")
     add_out(p_kernel)
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rot = sub.add_parser("rotation-fn", help="rotation functions E and F over a grid")
     p_rot.add_argument("file", help="fixed body JSON")
     p_rot.add_argument("other", help="rotating zonogon JSON")
-    p_rot.add_argument("--nodes", type=_int_at_least(0), default=64)
+    p_rot.add_argument("--nodes", type=_int_in(0), default=64)
     p_rot.add_argument("--csv", action="store_true")
     add_out(p_rot)
     p_rot.set_defaults(func=_cmd_rotation_fn)
@@ -357,7 +357,9 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # numpy warnings stay off stderr; _dumps rejects a non-finite result.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SystemExit as exc:  # argparse, on --help or a usage error
         return 2 if exc.code not in (0, None) else 0
     except (ZonalgError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -51,7 +51,7 @@ def random_body(
     min_diangles: int = 1,
 ) -> Body:
     angles, lens, disc = random_atoms(rng, max_diangles, disc_prob, min_diangles)
-    return bodies.body(list(zip(angles, lens)), disc)
+    return bodies.canonicalize(angles, lens, disc)
 
 
 def random_zonogon(rng: np.random.Generator, max_diangles: int = 10, min_diangles: int = 1) -> Body:

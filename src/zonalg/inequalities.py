@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies, generators, lifted
-from .bodies import ANGLE_TOL, PI, Body, Direction, atom_form, support_many
+from .bodies import ANGLE_TOL, PI, Body, atom_form, group_starts, support_many
 from .errors import DegenerateDirectionError, DomainError, UnsupportedRepresentationError
 from .lifted import LiftedVector, bilinear_M, deficit, eps_form, measure_ext, perimeter_ext
 
@@ -94,6 +94,8 @@ def check_schwarz_deficit(
 CAMPAIGN_BODIES = {"iso": 2, "bm": 2, "bmgen": 4, "schwarz": 4}
 # Bound on the entries of one batch's (n, k, k) sine tensor.
 CHUNK_ENTRIES = 1 << 22
+# One trial's tensor has (2 * max_diangles)**2 entries and cannot be split.
+MAX_DIANGLES = math.isqrt(CHUNK_ENTRIES) // 2
 # Bound on the raw generator outputs of one chunk of trials.
 DRAW_ENTRIES = 1 << 19
 
@@ -178,11 +180,10 @@ def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: flo
         lhs, rhs, ok = campaign_values(kind, seed, range(start, min(trials, start + step)), max_diangles)
         lhs, rhs = lhs[ok], rhs[ok]
         slack = lhs - rhs
-        with np.errstate(over="ignore"):
-            if kind == "iso":
-                violated = slack < -tol * (1.0 + lhs)
-            else:
-                violated = ~(slack >= -scaled_tol(lhs, rhs, tol, tol))
+        if kind == "iso":
+            violated = slack < -tol * (1.0 + lhs)
+        else:
+            violated = ~(slack >= -scaled_tol(lhs, rhs, tol, tol))
         violations += int(np.count_nonzero(violated))
         checked += len(slack)
         if len(slack):
@@ -211,24 +212,17 @@ def rotation_fn_F(u: Body, v: Body, phi: float) -> float:
 
 
 def _rotation_fn_F_many(u: Body, v: Body, phis: np.ndarray) -> np.ndarray:
-    angles = v._angles[None, :] + phis[:, None] + PI / 2
+    angles = v.angles[None, :] + phis[:, None] + PI / 2
     widths = 2.0 * support_many(u, angles.ravel()).reshape(angles.shape)
-    return widths @ v._lengths
+    return widths @ v.lengths
 
 
 def singular_candidates(u: Body, v: Body) -> np.ndarray:
     """Rotation angles aligning some diangle of v with some diangle of u."""
-    diffs = np.mod(u._angles[:, None] - v._angles[None, :], PI).ravel()
+    diffs = np.mod(u.angles[:, None] - v.angles[None, :], PI).ravel()
     diffs[PI - diffs <= ANGLE_TOL] = 0.0
     cands = np.unique(diffs)
-    if np.all(np.diff(cands) > ANGLE_TOL):
-        return cands
-    # Chained rule: each candidate is compared with the last one kept.
-    keep = [0]
-    for i in range(1, len(cands)):
-        if cands[i] - cands[keep[-1]] > ANGLE_TOL:
-            keep.append(i)
-    return cands[keep]
+    return cands[group_starts(cands)]
 
 
 def singular_min(u: Body, v: Body) -> tuple[float, float]:
@@ -251,7 +245,7 @@ def singular_min(u: Body, v: Body) -> tuple[float, float]:
 class ReductionStep:
     phi_star: float
     F_min: float
-    cancelled_direction: Direction
+    cancelled_direction: float
     joint_sides_after: int
     perimeter_ext: float
     measure_ext: float
@@ -260,7 +254,7 @@ class ReductionStep:
         return {
             "phi_star": self.phi_star,
             "F_min": self.F_min,
-            "cancelled_direction": self.cancelled_direction.angle,
+            "cancelled_direction": self.cancelled_direction,
             "joint_sides_after": self.joint_sides_after,
             "perimeter_ext": self.perimeter_ext,
             "measure_ext": self.measure_ext,
@@ -285,7 +279,7 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     _require_zonogon(u, "reduce_pair")
     _require_zonogon(v, "reduce_pair")
     steps: list[ReductionStep] = []
-    while u.diangles and v.diangles:
+    while len(u.angles) and len(v.angles):
         phi_star, f_min = singular_min(u, v)
         v = bodies.rotate(v, phi_star)
         u, v, cancelled = lifted.cancel_shared(u, v, near=NEAR_CANCEL)
@@ -295,12 +289,12 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
                 phi_star=phi_star,
                 F_min=f_min,
                 cancelled_direction=cancelled,
-                joint_sides_after=2 * (len(u.diangles) + len(v.diangles)),
+                joint_sides_after=2 * (len(u.angles) + len(v.angles)),
                 perimeter_ext=bodies.perimeter(u) - bodies.perimeter(v),
                 measure_ext=measure_ext(LiftedVector(u, v)),
             )
         )
-    if v.diangles:
+    if len(v.angles):
         return ReductionTrace(tuple(steps), v, -1)
     return ReductionTrace(tuple(steps), u, 1)
 
@@ -324,6 +318,5 @@ def equality_case_check(x: LiftedVector, tol: float = 1e-10) -> bool:
 def is_disc_multiple(x: LiftedVector, tol: float = 1e-10) -> bool:
     """Structural counterpart of equality_case_check on the canonical form."""
     scale = 1.0 + abs(perimeter_ext(x))
-    stray = sum(d.half_length for d in x.plus.diangles)
-    stray += sum(d.half_length for d in x.minus.diangles)
+    stray = float(x.plus.lengths.sum() + x.minus.lengths.sum())
     return stray <= tol * scale

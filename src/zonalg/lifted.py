@@ -15,18 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bodies
-from .bodies import (
-    ANGLE_TOL,
-    PI,
-    UNIT_DISC,
-    Body,
-    Diangle,
-    Direction,
-    atom_form,
-    canonicalize,
-    hausdorff,
-    minkowski_add,
-)
+from .bodies import PI, UNIT_DISC, Body, atom_form, hausdorff, merge_atoms, minkowski_add
 from .errors import InvalidInputError
 
 FOUR_PI_SQ = 4.0 * PI * PI
@@ -41,8 +30,8 @@ class LiftedVector:
     def atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Signed atoms (angles, weights, radius): plus with +, minus with -."""
         return (
-            np.concatenate([self.plus._angles, self.minus._angles]),
-            np.concatenate([self.plus._lengths, -self.minus._lengths]),
+            np.concatenate([self.plus.angles, self.minus.angles]),
+            np.concatenate([self.plus.lengths, -self.minus.lengths]),
             self.plus.disc_radius - self.minus.disc_radius,
         )
 
@@ -63,41 +52,25 @@ class LiftedVector:
         return scale_real(self, lam)
 
 
-def cancel_shared(u: Body, v: Body, near: float = 0.0) -> tuple[Body, Body, Direction | None]:
+def cancel_shared(u: Body, v: Body, near: float = 0.0) -> tuple[Body, Body, float | None]:
     """Subtract the common part of u and v: every shared direction and the smaller disc.
 
-    A shared direction whose half-lengths differ by at most `near` times the
-    larger one cancels completely (no residual sliver).  Also returns the
+    This is merge_atoms on u's atoms with + and v's with -, split by sign,
+    so a remainder keeps its own side's angle.  A shared direction whose
+    half-lengths differ by at most `near` times the larger one cancels
+    completely (no residual sliver).  Also returns the angle (u's) of the
     first shared direction, or None when there is none.
     """
-    pu, pv = u.diangles, v.diangles
-    out_u: list[Diangle] = []
-    out_v: list[Diangle] = []
-    cancelled: Direction | None = None
-    i = j = 0
-    while i < len(pu) and j < len(pv):
-        du, dv = pu[i], pv[j]
-        if du.dir.close_to(dv.dir, ANGLE_TOL):
-            rem = du.half_length - dv.half_length
-            if cancelled is None:
-                cancelled = du.dir
-            if abs(rem) > near * max(du.half_length, dv.half_length):
-                if rem > 0:
-                    out_u.append(Diangle(du.dir, rem))
-                else:
-                    out_v.append(Diangle(dv.dir, -rem))
-            i += 1
-            j += 1
-        elif du.dir.angle < dv.dir.angle:
-            out_u.append(du)
-            i += 1
-        else:
-            out_v.append(dv)
-            j += 1
-    out_u.extend(pu[i:])
-    out_v.extend(pv[j:])
+    angles, weights, shared = merge_atoms(
+        np.concatenate([u.angles, v.angles]), np.concatenate([u.lengths, -v.lengths]), near
+    )
+    plus = weights > 0.0
     r = min(u.disc_radius, v.disc_radius)
-    return canonicalize(out_u, u.disc_radius - r), canonicalize(out_v, v.disc_radius - r), cancelled
+    return (
+        Body(angles[plus], weights[plus], u.disc_radius - r),
+        Body(angles[~plus], -weights[~plus], v.disc_radius - r),
+        shared,
+    )
 
 
 def lift(u: Body, v: Body) -> LiftedVector:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import PI, Body, Diangle, Direction, Point, canonicalize
+from .bodies import PI, Body, Point, body
 from .errors import InvalidInputError
 
 
@@ -133,4 +133,4 @@ def disc_polygon(r: float, n: int) -> Body:
     if r < 0:
         raise InvalidInputError(f"radius must be >= 0, got {r}")
     d = r * math.tan(PI / (2 * n))
-    return canonicalize([Diangle(Direction(k * PI / n), d) for k in range(n)], 0.0)
+    return body([(k * PI / n, d) for k in range(n)])

@@ -75,7 +75,7 @@ def test_03_equality_case():
     while checked < 1000:
         x = generators.random_lifted(generators.trial_rng(103, i), 10)
         i += 1
-        if not (x.plus.diangles or x.minus.diangles):
+        if not (len(x.plus.angles) or len(x.minus.angles)):
             continue  # a pure disc multiple attains equality by design
         checked += 1
         if z.deficit(x) <= 0.0:
@@ -144,7 +144,7 @@ def test_08_reduction_pipeline():
         o0 = z.perimeter(u) - z.perimeter(v)
         scale = 1 + abs(o0)
         m_prev = z.measure_ext(z.lift(u, v))
-        if len(trace.steps) > len(u.diangles) + len(v.diangles):
+        if len(trace.steps) > len(u.angles) + len(v.angles):
             ok = False
         for step in trace.steps:
             if abs(step.perimeter_ext - o0) > 1e-9 * scale:

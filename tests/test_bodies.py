@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import zonalg as z
 from zonalg import bodies, generators, oracle
-from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
+from zonalg.bodies import ANGLE_TOL, PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import InvalidInputError, UnsupportedRepresentationError
 
 from conftest import random_body, random_zonogon
@@ -20,9 +20,9 @@ SEG = z.segment(0.0, 1.0)
 class TestCanonicalize:
     def test_merges_parallel_mod_pi(self):
         a = z.body([(0.0, 0.25), (PI, 0.25)])
-        assert len(a.diangles) == 1
-        assert a.diangles[0].half_length == pytest.approx(0.5, abs=0)
-        assert a.diangles[0].dir.angle == 0.0
+        assert len(a.angles) == 1
+        assert a.lengths[0] == pytest.approx(0.5, abs=0)
+        assert a.angles[0] == 0.0
 
     def test_empty_with_disc_is_disc(self):
         a = z.body([], 1.0)
@@ -30,21 +30,21 @@ class TestCanonicalize:
 
     def test_drops_zero_length(self):
         a = z.body([(0.0, 0.5), (PI / 2, 0.0)])
-        assert len(a.diangles) == 1
+        assert len(a.angles) == 1
 
     def test_sorted_by_direction(self):
         a = z.body([(1.2, 1.0), (0.3, 2.0), (2.9, 0.5)])
-        angles = [d.dir.angle for d in a.diangles]
+        angles = a.angles.tolist()
         assert angles == sorted(angles)
 
     def test_wraparound_merge(self):
         a = z.body([(1e-13, 1.0), (PI - 1e-13, 2.0)])
-        assert len(a.diangles) == 1
-        assert a.diangles[0].half_length == pytest.approx(3.0)
+        assert len(a.angles) == 1
+        assert a.lengths[0] == pytest.approx(3.0)
 
     def test_negative_half_length_rejected(self):
         with pytest.raises(InvalidInputError):
-            z.diangle(0.0, -1.0)
+            z.body([(0.0, -1.0)])
 
     def test_negative_radius_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -54,12 +54,12 @@ class TestCanonicalize:
 class TestMinkowskiAdd:
     def test_square_plus_disc(self):
         a = S + B
-        assert len(a.diangles) == 2
+        assert len(a.angles) == 2
         assert a.disc_radius == 1.0
 
     def test_square_plus_square_merges(self):
         a = S + S
-        assert [d.half_length for d in a.diangles] == [1.0, 1.0]
+        assert a.lengths.tolist() == [1.0, 1.0]
 
     def test_area_square_plus_disc(self):
         # independent check: vertex oracle on the polygonized disc
@@ -174,7 +174,7 @@ class TestAtomForm:
     def test_area_matches_shoelace(self, rng):
         for _ in range(100):
             a = random_zonogon(rng, 12)
-            got = bodies.atom_form(a._angles, a._lengths, 0.0, a._angles, a._lengths, 0.0)
+            got = bodies.atom_form(a.angles, a.lengths, 0.0, a.angles, a.lengths, 0.0)
             assert got == pytest.approx(oracle.shoelace_area(oracle.polygon(z.vertices(a))), rel=1e-9)
 
     def test_mixed_area_matches_shoelace(self, rng):
@@ -182,12 +182,12 @@ class TestAtomForm:
             a, b = random_zonogon(rng, 6), random_zonogon(rng, 6)
             pa, pb = oracle.polygon(z.vertices(a)), oracle.polygon(z.vertices(b))
             want = (oracle.shoelace_area(oracle.poly_sum(pa, pb)) - oracle.shoelace_area(pa) - oracle.shoelace_area(pb)) / 2
-            got = bodies.atom_form(a._angles, a._lengths, 0.0, b._angles, b._lengths, 0.0)
+            got = bodies.atom_form(a.angles, a.lengths, 0.0, b.angles, b.lengths, 0.0)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_disc_terms(self):
         # square (perimeter 4) against a disc of radius 2: 2 * (2 * 2) + 0
-        got = bodies.atom_form(S._angles, S._lengths, 0.0, [], [], 2.0)
+        got = bodies.atom_form(S.angles, S.lengths, 0.0, [], [], 2.0)
         assert got == pytest.approx(z.mixed_area(S, z.disc(2.0)), rel=1e-15)
         assert bodies.atom_form([], [], 2.0, [], [], 3.0) == pytest.approx(6 * PI, rel=1e-15)
 
@@ -253,8 +253,8 @@ class TestHausdorff:
             yield z.disc(r), z.ORIGIN
             # parallel directions: b shares a's directions, once with the same
             # half-lengths (plus an extra diangle), once with other lengths
-            yield a, z.body([(d.dir.angle, d.half_length) for d in a.diangles] + [(1.0, 0.5)], a.disc_radius)
-            yield a, z.body([(d.dir.angle, float(rng.uniform(0.01, 5.0))) for d in a.diangles], r)
+            yield a, z.body([*zip(a.angles, a.lengths), (1.0, 0.5)], a.disc_radius)
+            yield a, z.body([(t, float(rng.uniform(0.01, 5.0))) for t in a.angles], r)
             yield a, z.rotate(a, 1e-13)
             yield a, z.scale(a, 1.0 + 1e-15)
         yield z.ORIGIN, z.ORIGIN
@@ -265,7 +265,7 @@ class TestHausdorff:
         # at most L per radian (L = total half-length).
         thetas = np.linspace(0.0, PI, 4096, endpoint=False)
         for a, b in self._pairs(rng):
-            total = float(a._lengths.sum() + b._lengths.sum())
+            total = float(a.lengths.sum() + b.lengths.sum())
             grid_max = float(np.max(np.abs(bodies.support_many(a, thetas) - bodies.support_many(b, thetas))))
             h = z.hausdorff(a, b)
             assert h >= grid_max - 1e-13 * (1.0 + total), (a, b)
@@ -321,24 +321,34 @@ class TestInvariants:
             assert z.area(z.scale(a, lam)) == pytest.approx(lam * lam * z.area(a), rel=1e-12)
 
 
+ANGLES = st.floats(-10.0, 10.0, allow_nan=False)
+LENGTHS = st.floats(0.0, 10.0, allow_nan=False)
+# The merge's tolerance edges: angles 0 to 3*ANGLE_TOL apart around a
+# direction or around pi (which folds to 0), and 9 or more copies of one.
+CLUSTER = st.tuples(
+    st.sampled_from([0.0, 1.0, PI]), st.lists(st.tuples(st.floats(-3 * ANGLE_TOL, 3 * ANGLE_TOL), LENGTHS), max_size=8)
+).map(lambda c: [(c[0] + offset, d) for offset, d in c[1]])
+COPIES = st.tuples(ANGLES, st.lists(LENGTHS, min_size=9, max_size=12)).map(lambda c: [(c[0], d) for d in c[1]])
+
+
 @given(
-    pairs=st.lists(
-        st.tuples(
-            st.floats(-10.0, 10.0, allow_nan=False),
-            st.floats(0.0, 10.0, allow_nan=False),
-        ),
-        max_size=8,
-    ),
+    pairs=st.lists(st.tuples(ANGLES, LENGTHS), max_size=8),
+    edge=st.one_of(st.just([]), CLUSTER, COPIES),
     r=st.floats(0.0, 5.0, allow_nan=False),
 )
 @settings(max_examples=200, deadline=None)
-def test_canonicalize_idempotent_and_support_preserving(pairs, r):
+def test_canonicalize_idempotent_and_support_preserving(pairs, edge, r):
+    pairs = pairs + edge
     a = z.body(pairs, r)
-    again = z.canonicalize(a.diangles, a.disc_radius)
+    again = z.canonicalize(a.angles, a.lengths, a.disc_radius)
     assert again == a
-    angles = [d.dir.angle for d in a.diangles]
-    assert all(0 <= ang < PI for ang in angles)
-    assert all(d.half_length > 0 for d in a.diangles)
+    assert all(0 <= ang < PI for ang in a.angles)
+    assert np.all(np.diff(a.angles) > ANGLE_TOL)
+    assert all(d > 0 for d in a.lengths)
+    # a group spans at most ANGLE_TOL: each atom lies that close to its kept angle, mod pi
+    for ang, d in pairs:
+        if d > 0:
+            assert np.abs((ang - a.angles + PI / 2) % PI - PI / 2).min() <= ANGLE_TOL + 1e-14
     # canonical form represents the same set
     for theta in (0.0, 0.7, 2.1):
         raw = sum(d * abs(math.cos(theta - ang)) for ang, d in pairs) + r

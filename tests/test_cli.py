@@ -149,6 +149,7 @@ class TestExitCodes:
             ["lift", "add", "lifted_sb.json"],
             ["check", "iso", "--trials", "-1"],
             ["check", "bm", "--max-diangles", "0"],
+            ["check", "iso", "--max-diangles", "1025"],
             ["check", "iso", "--tol", "nan"],
             ["check", "bm", "--tol", "inf"],
             ["check", "schwarz", "--tol", "-1"],
@@ -211,20 +212,31 @@ class TestExitCodes:
         assert run(["kernel", "gram"]) == 3
         assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
+    def test_max_diangles_at_bound_runs(self, capsys):
+        # The largest width whose (2 * m)**2 sine entries fit in CHUNK_ENTRIES.
+        assert run(["check", "bmgen", "--trials", "1", "--max-diangles", "1024"]) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == 0
+
     @pytest.mark.parametrize("inequality", ["iso", "bm", "bmgen", "schwarz"])
     def test_empty_campaign_min_slack_null(self, inequality, capsys):
         assert run(["check", inequality, "--trials", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["min_slack"] is None
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_result_is_input_error(self, tmp_path, capsys):
-        huge = {"diangles": [{"angle": 0.0, "d": 1e200}, {"angle": 1.0, "d": 1e200}], "disc": 0.0}
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"plus": huge, "minus": {"diangles": [], "disc": 0.0}}))
-        assert run(["lift", "stats", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: result is not finite")
+        # lift stats overflows in the forms, lift add in the sum of two half-lengths.
+        for d, action, files, message in [
+            (1e200, "stats", 1, "error: result is not finite"),
+            (1e308, "add", 2, "error: merged half_length overflows"),
+        ]:
+            huge = {"diangles": [{"angle": 0.0, "d": d}, {"angle": 1.0, "d": d}], "disc": 0.0}
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps({"plus": huge, "minus": {"diangles": [], "disc": 0.0}}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["lift", action, *[str(path)] * files]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
     def test_installed_entry_point(self):
         # Run the declared console-script target as a process, as the

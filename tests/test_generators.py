@@ -53,11 +53,11 @@ class TestDraws:
                     for i, t in enumerate(trials):
                         rng = generators.trial_rng(seed, t)
                         for b in range(count):
-                            want_angles, want_lengths, want_radius = generators.random_atoms(rng, max_diangles)
-                            n = len(want_angles)
+                            want_theta, want_len, want_radius = generators.random_atoms(rng, max_diangles)
+                            n = len(want_theta)
                             assert sizes[i, b] == n
-                            assert angles[i, b, :n].tobytes() == want_angles.tobytes()
-                            assert lengths[i, b, :n].tobytes() == want_lengths.tobytes()
+                            assert angles[i, b, :n].tobytes() == want_theta.tobytes()
+                            assert lengths[i, b, :n].tobytes() == want_len.tobytes()
                             assert not angles[i, b, n:].any() and not lengths[i, b, n:].any()
                             assert radii[i, b] == want_radius
                             discs += want_radius > 0

@@ -173,11 +173,16 @@ class TestReducePair:
         trace = z.reduce_pair(hexagon, z.segment(PI / 6, 1.0))
         assert len(trace.steps) <= 4
         assert trace.witness_sign == 1
-        assert len(trace.witness.diangles) == 2
+        assert len(trace.witness.angles) == 2
 
     def test_symmetric_pair_reduces_to_origin(self):
         trace = z.reduce_pair(S, z.rotate(S, 0.7))
         assert trace.witness.is_origin
+        # half-lengths within NEAR_CANCEL relative cancel completely, no sliver
+        near = z.rotate(z.scale(S, 1.0 + 0.3 * inequalities.NEAR_CANCEL), 0.7)
+        trace = z.reduce_pair(S, near)
+        assert trace.witness.is_origin
+        assert [step.joint_sides_after for step in trace.steps] == [0]
 
     def test_trace_invariants(self, rng):
         for _ in range(200):
@@ -186,10 +191,10 @@ class TestReducePair:
             if u.is_origin or v.is_origin:
                 continue
             trace = z.reduce_pair(u, v)
-            assert len(trace.steps) <= len(u.diangles) + len(v.diangles)
+            assert len(trace.steps) <= len(u.angles) + len(v.angles)
             o0 = z.perimeter(u) - z.perimeter(v)
             m_prev = z.area(u) - 2 * z.mixed_area(u, v) + z.area(v)
-            sides_prev = 2 * (len(u.diangles) + len(v.diangles))
+            sides_prev = 2 * (len(u.angles) + len(v.angles))
             scale = 1 + abs(o0)
             for step in trace.steps:
                 assert step.joint_sides_after < sides_prev

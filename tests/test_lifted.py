@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 import zonalg as z
 from zonalg import bodies, lifted
-from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
+from zonalg.bodies import ANGLE_TOL, PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.lifted import DISC_VECTOR, ZERO, LiftedVector
 
 from conftest import random_body, random_lifted
@@ -26,7 +27,7 @@ class TestLift:
     def test_per_direction_cancellation(self):
         x = z.lift(z.segment(0, 1) + z.segment(PI / 2, 1), z.segment(0, 0.4))
         assert x.minus.is_origin
-        assert [(d.dir.angle, d.half_length) for d in x.plus.diangles] == [
+        assert list(zip(x.plus.angles.tolist(), x.plus.lengths.tolist())) == [
             (0.0, 0.6),
             (PI / 2, 1.0),
         ]
@@ -35,9 +36,8 @@ class TestLift:
         for _ in range(100):
             x = random_lifted(rng)
             assert min(x.plus.disc_radius, x.minus.disc_radius) == 0.0
-            dirs_p = {d.dir.angle for d in x.plus.diangles}
-            dirs_m = {d.dir.angle for d in x.minus.diangles}
-            assert not dirs_p & dirs_m
+            gaps = np.abs(x.plus.angles[:, None] - x.minus.angles[None, :])
+            assert not np.any(np.minimum(gaps, PI - gaps) <= ANGLE_TOL)
 
 
 class TestEquivalent:

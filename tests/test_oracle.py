@@ -66,8 +66,8 @@ class TestScalars:
 class TestDiscPolygon:
     def test_n2_is_square(self):
         a = oracle.disc_polygon(1.0, 2)
-        assert [d.dir.angle for d in a.diangles] == [0.0, PI / 2]
-        assert all(d.half_length == pytest.approx(1.0) for d in a.diangles)
+        assert a.angles.tolist() == [0.0, PI / 2]
+        assert all(h == pytest.approx(1.0) for h in a.lengths)
         assert z.area(a) == pytest.approx(4.0)
 
     def test_area_converges(self):

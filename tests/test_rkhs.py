@@ -51,8 +51,8 @@ class TestKernelVector:
     def test_components(self):
         k = z.kernel_vector(0.3)
         assert k.plus.disc_radius == 2.0
-        assert not k.plus.diangles
-        assert k.minus.diangles[0].half_length == pytest.approx(PI / 2)
+        assert not len(k.plus.angles)
+        assert k.minus.lengths[0] == pytest.approx(PI / 2)
 
 
 class TestEvaluate:
@@ -251,8 +251,7 @@ class TestSample:
             assert sup <= z.norm_c(x) + 1e-12
             # first-order error at kinks: slope is bounded by the total
             # half-length mass, grid spacing is pi/4095
-            slope = sum(d.half_length for d in x.plus.diangles)
-            slope += sum(d.half_length for d in x.minus.diangles)
+            slope = float(x.plus.lengths.sum() + x.minus.lengths.sum())
             assert sup >= z.norm_c(x) - (PI / 4095) * (slope + 1.0)
 
     def test_too_few_points(self):
