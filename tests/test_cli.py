@@ -39,6 +39,13 @@ GOLDEN_CASES = [
     (["kernel", "eval", "lifted_sb.json", "--nodes", "8", "--csv"], "kernel_eval_sb.csv"),
     (["kernel", "interp", "widthfn.json", "--ridge", "1e-10"], "kernel_interp.json"),
     (["rotation-fn", "square.json", "segment.json", "--nodes", "8", "--csv"], "rotation_fn.csv"),
+    (["body", "svg", "rounded.json"], "body_svg_rounded.svg"),
+    (["lift", "stats", "lifted_mixed.json"], "lift_stats_mixed.json"),
+    (["lift", "stats", "lifted_nodisc.json"], "lift_stats_nodisc.json"),
+    (["kernel", "eval", "lifted_mixed.json", "--nodes", "8", "--csv"], "kernel_eval_mixed.csv"),
+    (["kernel", "eval", "lifted_nodisc.json", "--nodes", "8", "--csv"], "kernel_eval_nodisc.csv"),
+    (["reduce", "lifted_nodisc.json"], "reduce_nodisc.jsonl"),
+    (["reduce", "lifted_mixed.json", "--polygonize-disc", "6"], "reduce_mixed_disc6.jsonl"),
 ]
 
 def resolve(argv):
@@ -108,7 +115,7 @@ class TestValues:
             assert float(row.split(",")[i]) == 2.0
 
     def test_svg_well_formed(self):
-        for name in ("body_svg_disc.svg", "body_svg_square.svg"):
+        for name in ("body_svg_disc.svg", "body_svg_square.svg", "body_svg_rounded.svg"):
             text = (GOLDEN / name).read_text()
             assert text.startswith("<svg")
             assert text.rstrip().endswith("</svg>")
