@@ -2,10 +2,12 @@
 
 A body is a finite Minkowski sum of centered segments ("diangles") plus an
 exact disc component.  It is stored as atoms: sorted arrays of direction
-angles and half-lengths, plus the disc radius.  All quantities (support,
-width, area, perimeter, mixed area, Hausdorff distance) have closed forms
-in this representation, and one tolerance merge (merge_atoms) makes atoms
-canonical for bodies, lifted vectors and the reduction alike.
+angles and half-lengths, plus the disc radius.  The closed forms (support,
+perimeter, mixed area, sup norm) are written once, on a signed-atom triple
+(angles, weights, radius), which a Body and a lifted vector both expose as
+`.atoms`; area, width and Hausdorff distance are calls on them.  One
+tolerance merge (merge_atoms) makes atoms canonical for bodies, lifted
+vectors and the reduction alike.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ PI = math.pi
 ANGLE_TOL = 1e-12
 
 
-def _frozen(values) -> np.ndarray:
+def frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
@@ -50,8 +52,8 @@ class Body:
     disc_radius: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", _frozen(self.angles))
-        object.__setattr__(self, "lengths", _frozen(self.lengths))
+        object.__setattr__(self, "angles", frozen_array(self.angles))
+        object.__setattr__(self, "lengths", frozen_array(self.lengths))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Body):
@@ -64,6 +66,11 @@ class Body:
 
     def __hash__(self) -> int:
         return hash((tuple(self.angles.tolist()), tuple(self.lengths.tolist()), self.disc_radius))
+
+    @property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Atoms (angles, weights, radius): the half-lengths are the weights."""
+        return self.angles, self.lengths, self.disc_radius
 
     @property
     def is_origin(self) -> bool:
@@ -132,6 +139,14 @@ def merge_atoms(angles: np.ndarray, weights: np.ndarray, near: float = 0.0):
     return a[pick[keep]], sums[keep], shared
 
 
+def fold(angles: np.ndarray) -> np.ndarray:
+    """Angles mod pi in [0, pi); within ANGLE_TOL below pi goes to 0, so no group wraps around."""
+    folded = np.fmod(angles, PI)
+    folded[folded < 0.0] += PI
+    folded[PI - folded <= ANGLE_TOL] = 0.0
+    return folded
+
+
 def canonicalize(angles, lengths, disc_radius: float = 0.0) -> Body:
     """Body from raw atoms: fold mod pi, merge parallel atoms, drop zero lengths, sort."""
     angles = np.asarray(angles, dtype=float)
@@ -142,11 +157,7 @@ def canonicalize(angles, lengths, disc_radius: float = 0.0) -> Body:
         raise InvalidInputError(f"diangle needs a finite angle and half_length >= 0, got ({angles[i]}, {lengths[i]})")
     if not math.isfinite(disc_radius) or disc_radius < 0.0:
         raise InvalidInputError(f"disc radius must be >= 0, got {disc_radius}")
-    # Fold mod pi into [0, pi); within ANGLE_TOL below pi goes to 0, so no group wraps around.
-    folded = np.fmod(angles, PI)
-    folded[folded < 0.0] += PI
-    folded[PI - folded <= ANGLE_TOL] = 0.0
-    a, w, _ = merge_atoms(folded, lengths)
+    a, w, _ = merge_atoms(fold(angles), lengths)
     return Body(a, w, float(disc_radius))
 
 
@@ -189,12 +200,21 @@ def support(a: Body, theta: float) -> float:
     return float(support_many(a, np.array([theta]))[0])
 
 
-def support_many(a: Body, thetas: np.ndarray) -> np.ndarray:
-    """Support function sum(d_j |cos(theta - theta_j)|) + r at each theta."""
-    thetas = np.asarray(thetas, dtype=float)
-    if len(a.angles) == 0:
-        return np.full(thetas.shape, a.disc_radius, dtype=float)
-    return np.abs(np.cos(thetas[:, None] - a.angles[None, :])) @ a.lengths + a.disc_radius
+def atoms_of(x) -> tuple:
+    """The (angles, weights, radius) of a Body or LiftedVector; a triple as it is."""
+    return x if isinstance(x, tuple) else x.atoms
+
+
+def support_many(a, thetas: np.ndarray) -> np.ndarray:
+    """Support function sum(w_j |cos(theta - theta_j)|) + r at each theta.
+
+    `a` is a Body, a LiftedVector (whose support is h_plus - h_minus) or an
+    atom triple, batched over leading axes: angles and weights (..., k),
+    radius (...), thetas (..., m) give (..., m).
+    """
+    angles, weights, radius = atoms_of(a)
+    cosines = np.abs(np.cos(np.asarray(thetas, dtype=float)[..., :, None] - angles[..., None, :]))
+    return (cosines @ weights[..., :, None])[..., 0] + np.asarray(radius)[..., None]
 
 
 def width(a: Body, phi: float) -> float:
@@ -205,9 +225,8 @@ def width(a: Body, phi: float) -> float:
 def atom_form(a1, w1, r1, a2, w2, r2):
     """Mixed area of two signed atom vectors, batched over leading axes.
 
-    A vector is atoms (angle, weight) plus a disc radius; a body has
-    weights = half-lengths and radius >= 0, a lifted vector [P, M] has P's
-    atoms with + and M's with -, and radius r_P - r_M.  The form is
+    A vector is atoms (angle, weight) plus a disc radius, as `.atoms` gives
+    them for a Body or a LiftedVector.  The form is
 
         B(x, y) = 2 w1ᵀ|sin(a1 - a2ᵀ)|w2 + 2 r1 Σw2 + 2 r2 Σw1 + π r1 r2,
 
@@ -223,16 +242,18 @@ def atom_form(a1, w1, r1, a2, w2, r2):
 
 
 def area(a: Body) -> float:
-    return float(atom_form(a.angles, a.lengths, a.disc_radius, a.angles, a.lengths, a.disc_radius))
+    return float(atom_form(*a.atoms, *a.atoms))
 
 
-def perimeter(a: Body) -> float:
-    return 4.0 * float(a.lengths.sum()) + 2.0 * PI * a.disc_radius
+def perimeter(a):
+    """4 Σw + 2πr of a Body, a LiftedVector (perimeter_ext) or an atom triple, batched over leading axes."""
+    _, weights, radius = atoms_of(a)
+    return 4.0 * weights.sum(-1) + 2.0 * PI * radius
 
 
 def mixed_area(a: Body, b: Body) -> float:
     """Bilinear polarization of area: (area(a+b) - area(a) - area(b)) / 2."""
-    return float(atom_form(a.angles, a.lengths, a.disc_radius, b.angles, b.lengths, b.disc_radius))
+    return float(atom_form(*a.atoms, *b.atoms))
 
 
 def vertices(a: Body) -> list[Point]:
@@ -256,35 +277,32 @@ def vertices(a: Body) -> list[Point]:
     return pts
 
 
-def _support_diff_candidates(a: Body, b: Body) -> np.ndarray:
-    """Angles where sup |h_a - h_b| can be attained: kinks and interior stationary points.
+def sup_norm(a) -> float:
+    """sup over directions of |h| for a Body, a LiftedVector or an atom triple; exact.
 
-    Between consecutive kinks theta = angle + pi/2 the difference is
+    Between consecutive kinks theta = angle + pi/2, h is
     A cos(theta) + B sin(theta) + r, whose |.| peaks at a kink or at
-    atan2(B, A) mod pi (h is pi-periodic).  All intervals are done at once.
+    atan2(B, A) mod pi (h is pi-periodic).  All intervals are done at once,
+    so the sup is a max over finitely many angles, with no sampling grid.
     """
-    angles = np.concatenate([a.angles, b.angles])
-    coefs = np.concatenate([a.lengths, -b.lengths])
-    if len(angles) == 0:
-        return np.array([0.0])
-    kinks = np.unique(np.mod(angles + PI / 2, PI))
-    mids = 0.5 * (kinks + np.append(kinks[1:], kinks[0] + PI))
-    signs = np.sign(np.cos(mids[:, None] - angles))
-    A = signs @ (coefs * np.cos(angles))
-    B = signs @ (coefs * np.sin(angles))
-    moving = (A != 0.0) | (B != 0.0)
-    return np.concatenate([kinks, np.mod(np.arctan2(B[moving], A[moving]), PI)])
+    angles, weights, _ = atoms_of(a)
+    thetas = np.array([0.0])
+    if len(angles):
+        kinks = np.unique(np.mod(angles + PI / 2, PI))
+        mids = 0.5 * (kinks + np.append(kinks[1:], kinks[0] + PI))
+        signs = np.sign(np.cos(mids[:, None] - angles))
+        A = signs @ (weights * np.cos(angles))
+        B = signs @ (weights * np.sin(angles))
+        moving = (A != 0.0) | (B != 0.0)
+        thetas = np.concatenate([kinks, np.mod(np.arctan2(B[moving], A[moving]), PI)])
+    return float(np.max(np.abs(support_many(a, thetas))))
 
 
 def hausdorff(a: Body, b: Body) -> float:
-    """sup over directions of |h_a - h_b| (Hausdorff distance of convex bodies).
+    """sup over directions of |h_a - h_b| (Hausdorff distance of convex bodies)."""
+    from .lifted import LiftedVector  # lifted imports this module
 
-    Exact: the sup is taken over the finite candidate set of
-    _support_diff_candidates, with no sampling grid.
-    """
-    thetas = _support_diff_candidates(a, b)
-    diff = support_many(a, thetas) - support_many(b, thetas)
-    return float(np.max(np.abs(diff)))
+    return sup_norm(LiftedVector(a, b))
 
 
 def bodies_close(a: Body, b: Body, tol: float = 1e-10) -> bool:
@@ -303,10 +321,17 @@ def body_to_dict(a: Body) -> dict:
     }
 
 
+def json_number(value) -> float:
+    """A JSON number as a float; a boolean, string or other value is a TypeError."""
+    if type(value) not in (int, float):  # json.loads gives exactly these; bool is not one
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
 def body_from_dict(obj: dict) -> Body:
     try:
-        pairs = [(float(item["angle"]), float(item["d"])) for item in obj["diangles"]]
-        return body(pairs, float(obj["disc"]))
+        pairs = [(json_number(item["angle"]), json_number(item["d"])) for item in obj["diangles"]]
+        return body(pairs, json_number(obj["disc"]))
     except KeyError as exc:
         raise InvalidInputError(f"body JSON missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -63,7 +63,7 @@ def _body_stats(a: Body) -> dict:
         "perimeter": bodies.perimeter(a),
         "num_diangles": len(a.angles),
         "disc": a.disc_radius,
-        "support_max": bodies.hausdorff(a, bodies.ORIGIN),
+        "support_max": bodies.sup_norm(a),
     }
 
 
@@ -87,26 +87,18 @@ def body_svg(a: Body, grid: int = 256) -> str:
             pts = " ".join(f"{p.x:.9g},{p.y:.9g}" for p in verts)
             shape = f'<polygon points="{pts}"/>\n'
         else:
-            n = len(verts)
-            cmds = []
-            for i in range(n):
-                p, q = verts[i], verts[(i + 1) % n]
+            # Each edge pushed out by r along its normal; an arc joins it to the next.
+            starts, ends = [], []
+            for p, q in zip(verts, verts[1:] + verts[:1]):
                 ex, ey = q.x - p.x, q.y - p.y
                 norm = math.hypot(ex, ey)
                 nx, ny = ey / norm, -ex / norm
-                if i == 0:
-                    cmds.append(f"M {p.x + r * nx:.9g} {p.y + r * ny:.9g}")
-                else:
-                    cmds.append(f"A {r:.9g} {r:.9g} 0 0 1 {p.x + r * nx:.9g} {p.y + r * ny:.9g}")
-                cmds.append(f"L {q.x + r * nx:.9g} {q.y + r * ny:.9g}")
-            first = verts[0]
-            q = verts[1]
-            ex, ey = q.x - first.x, q.y - first.y
-            norm = math.hypot(ex, ey)
-            nx, ny = ey / norm, -ex / norm
-            cmds.append(f"A {r:.9g} {r:.9g} 0 0 1 {first.x + r * nx:.9g} {first.y + r * ny:.9g}")
-            cmds.append("Z")
-            shape = f'<path d="{" ".join(cmds)}"/>\n'
+                starts.append(f"{p.x + r * nx:.9g} {p.y + r * ny:.9g}")
+                ends.append(f"{q.x + r * nx:.9g} {q.y + r * ny:.9g}")
+            cmds = [f"M {starts[0]}"]
+            for end, start in zip(ends, starts[1:] + starts[:1]):
+                cmds += [f"L {end}", f"A {r:.9g} {r:.9g} 0 0 1 {start}"]
+            shape = f'<path d="{" ".join(cmds)} Z"/>\n'
     return header + shape + "</g>\n</svg>\n"
 
 
@@ -225,7 +217,7 @@ def _cmd_kernel(args) -> int:
         with open(args.file) as fh:
             wf = rkhs.width_function_from_dict(json.loads(fh.read()))
         coeffs = rkhs.interpolate(wf.nodes, wf.values, ridge=args.ridge)
-        _emit_json({"nodes": list(wf.nodes), "coefficients": list(map(float, coeffs)), "ridge": args.ridge}, args.out)
+        _emit_json({"nodes": wf.nodes.tolist(), "coefficients": coeffs.tolist(), "ridge": args.ridge}, args.out)
     return 0
 
 

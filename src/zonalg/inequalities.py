@@ -9,12 +9,12 @@ position, cancel the parallel pair, repeat until one side is trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bodies, generators, lifted
-from .bodies import ANGLE_TOL, PI, Body, atom_form, group_starts, support_many
+from .bodies import ANGLE_TOL, PI, Body, atom_form, atoms_of, fold, group_starts, merge_atoms, perimeter, support_many
 from .errors import DegenerateDirectionError, DomainError, UnsupportedRepresentationError
 from .lifted import LiftedVector, bilinear_M, deficit, eps_form, measure_ext, perimeter_ext
 
@@ -38,13 +38,7 @@ class CheckReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-        }
+        return dict(vars(self))
 
 
 def _report(lhs: float, rhs: float, tol_abs: float, tol_rel: float) -> CheckReport:
@@ -105,34 +99,20 @@ def _body(atoms, i: int):
     return tuple(t[:, i] for t in atoms)
 
 
-def _combine(atoms, i: int, j: int, sign: float):
-    """Atoms of body i followed by those of body j times sign, per trial."""
-    angles, lengths, radii = atoms
-    return (
-        np.concatenate([angles[:, i], angles[:, j]], axis=-1),
-        np.concatenate([lengths[:, i], sign * lengths[:, j]], axis=-1),
-        radii[:, i] + sign * radii[:, j],
-    )
-
-
-def _perimeter(x) -> np.ndarray:
-    _, weights, radius = x
-    return 4.0 * weights.sum(-1) + 2.0 * PI * radius
-
-
 def _values(kind: str, atoms):
     """Per-trial (lhs, rhs, checked) from the padded atoms of each trial's bodies."""
     all_checked = np.ones(len(atoms[2]), dtype=bool)
+    u, v = _body(atoms, 0), _body(atoms, 1)
     if kind == "bm":
-        u, v, s = _body(atoms, 0), _body(atoms, 1), _combine(atoms, 0, 1, 1.0)
+        s = np.concatenate([u[0], v[0]], axis=-1), np.concatenate([u[1], v[1]], axis=-1), u[2] + v[2]
         lhs = np.sqrt(atom_form(*s, *s))
         return lhs, np.sqrt(atom_form(*u, *u)) + np.sqrt(atom_form(*v, *v)), all_checked
-    x = _combine(atoms, 0, 1, -1.0)
-    ox, mx = _perimeter(x), atom_form(*x, *x)
+    x = LiftedVector(u, v).atoms
+    ox, mx = perimeter(x), atom_form(*x, *x)
     if kind == "iso":
         return ox * ox, 4.0 * PI * mx, all_checked
-    y = _combine(atoms, 2, 3, -1.0)
-    oy, my, bxy = _perimeter(y), atom_form(*y, *y), atom_form(*x, *y)
+    y = LiftedVector(_body(atoms, 2), _body(atoms, 3)).atoms
+    oy, my, bxy = perimeter(y), atom_form(*y, *y), atom_form(*x, *y)
     if kind == "bmgen":
         return bxy * bxy, mx * my, (mx > 0) & (my > 0)
     dx, dy = ox * ox - 4.0 * PI * mx, oy * oy - 4.0 * PI * my
@@ -211,18 +191,28 @@ def rotation_fn_F(u: Body, v: Body, phi: float) -> float:
     return float(_rotation_fn_F_many(u, v, np.array([phi]))[0])
 
 
-def _rotation_fn_F_many(u: Body, v: Body, phis: np.ndarray) -> np.ndarray:
-    angles = v.angles[None, :] + phis[:, None] + PI / 2
+def _rotation_fn_F_many(u, v, phis: np.ndarray) -> np.ndarray:
+    """F at each phi, for u and v given as Bodies or atom triples."""
+    v_angles, v_weights, _ = atoms_of(v)
+    angles = v_angles[None, :] + phis[:, None] + PI / 2
     widths = 2.0 * support_many(u, angles.ravel()).reshape(angles.shape)
-    return widths @ v.lengths
+    return widths @ v_weights
 
 
-def singular_candidates(u: Body, v: Body) -> np.ndarray:
-    """Rotation angles aligning some diangle of v with some diangle of u."""
-    diffs = np.mod(u.angles[:, None] - v.angles[None, :], PI).ravel()
+def singular_candidates(u, v) -> np.ndarray:
+    """Rotation angles aligning some diangle of v with some diangle of u (Bodies or atom triples)."""
+    diffs = np.mod(atoms_of(u)[0][:, None] - atoms_of(v)[0][None, :], PI).ravel()
     diffs[PI - diffs <= ANGLE_TOL] = 0.0
     cands = np.unique(diffs)
     return cands[group_starts(cands)]
+
+
+def _singular_min(u, v) -> tuple[float, float]:
+    """singular_min without its checks; u and v may be atom triples."""
+    cands = singular_candidates(u, v)
+    values = _rotation_fn_F_many(u, v, cands)
+    best = int(np.argmin(values))
+    return float(cands[best]), float(values[best])
 
 
 def singular_min(u: Body, v: Body) -> tuple[float, float]:
@@ -235,10 +225,7 @@ def singular_min(u: Body, v: Body) -> tuple[float, float]:
     _require_zonogon(v, "singular_min")
     if u.is_origin or v.is_origin:
         raise DomainError("singular_min needs two nonempty zonogons")
-    cands = singular_candidates(u, v)
-    values = _rotation_fn_F_many(u, v, cands)
-    best = int(np.argmin(values))
-    return float(cands[best]), float(values[best])
+    return _singular_min(u, v)
 
 
 @dataclass(frozen=True)
@@ -251,21 +238,14 @@ class ReductionStep:
     measure_ext: float
 
     def to_dict(self) -> dict:
-        return {
-            "phi_star": self.phi_star,
-            "F_min": self.F_min,
-            "cancelled_direction": self.cancelled_direction,
-            "joint_sides_after": self.joint_sides_after,
-            "perimeter_ext": self.perimeter_ext,
-            "measure_ext": self.measure_ext,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
     steps: tuple[ReductionStep, ...]
     witness: Body
-    witness_sign: int = field(default=1)
+    witness_sign: int = 1
 
 
 def reduce_pair(u: Body, v: Body) -> ReductionTrace:
@@ -275,28 +255,32 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     the shared directions; perimeter_ext is invariant and measure_ext can
     only grow.  Stops when one side has no diangles; the witness is the
     other side, with sign -1 when the surviving side is v.
+
+    The pair is one signed-atom triple, u's atoms then v's as
+    LiftedVector.atoms orders them; only the witness is built as a Body.
     """
     _require_zonogon(u, "reduce_pair")
     _require_zonogon(v, "reduce_pair")
+    angles, weights, _ = LiftedVector(u, v).atoms
+    k = len(u.angles)  # atoms [:k] are u's, [k:] are v's with weight -d
     steps: list[ReductionStep] = []
-    while len(u.angles) and len(v.angles):
-        phi_star, f_min = singular_min(u, v)
-        v = bodies.rotate(v, phi_star)
-        u, v, cancelled = lifted.cancel_shared(u, v, near=NEAR_CANCEL)
-        assert cancelled is not None
-        steps.append(
-            ReductionStep(
-                phi_star=phi_star,
-                F_min=f_min,
-                cancelled_direction=cancelled,
-                joint_sides_after=2 * (len(u.angles) + len(v.angles)),
-                perimeter_ext=bodies.perimeter(u) - bodies.perimeter(v),
-                measure_ext=measure_ext(LiftedVector(u, v)),
-            )
+    while 0 < k < len(angles):
+        phi_star, f_min = _singular_min((angles[:k], weights[:k], 0.0), (angles[k:], -weights[k:], 0.0))
+        # Rotate: v's atoms turned by phi_star and merged, as canonicalize merges them.
+        turned, turned_weights, _ = merge_atoms(fold(angles[k:] + phi_star), weights[k:])
+        angles, weights, cancelled = merge_atoms(
+            np.concatenate([angles[:k], turned]), np.concatenate([weights[:k], turned_weights]), NEAR_CANCEL
         )
-    if len(v.angles):
-        return ReductionTrace(tuple(steps), v, -1)
-    return ReductionTrace(tuple(steps), u, 1)
+        assert cancelled is not None
+        order = np.argsort(weights < 0.0, kind="stable")
+        angles, weights, k = angles[order], weights[order], int(np.count_nonzero(weights > 0.0))
+        x = angles, weights, 0.0
+        steps.append(
+            ReductionStep(phi_star, f_min, cancelled, 2 * len(angles), float(perimeter(x)), float(atom_form(*x, *x)))
+        )
+    if k < len(angles):
+        return ReductionTrace(tuple(steps), Body(angles, -weights), -1)
+    return ReductionTrace(tuple(steps), Body(angles, weights), 1)
 
 
 def hyperbolic_witness(u: LiftedVector, v: LiftedVector) -> LiftedVector:

@@ -3,6 +3,7 @@
 Vectors are canonical pairs [plus, minus]: the two components share no
 diangle direction and at most one carries a disc.  Area extends to the
 unique quadratic polynomial on this space; perimeter extends linearly.
+Every form reads the signed atoms of `LiftedVector.atoms`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bodies
-from .bodies import PI, UNIT_DISC, Body, atom_form, hausdorff, merge_atoms, minkowski_add
+from .bodies import PI, UNIT_DISC, Body, atom_form, atoms_of, hausdorff, merge_atoms, minkowski_add, sup_norm
 from .errors import InvalidInputError
 
 FOUR_PI_SQ = 4.0 * PI * PI
@@ -28,12 +29,14 @@ class LiftedVector:
 
     @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Signed atoms (angles, weights, radius): plus with +, minus with -."""
-        return (
-            np.concatenate([self.plus.angles, self.minus.angles]),
-            np.concatenate([self.plus.lengths, -self.minus.lengths]),
-            self.plus.disc_radius - self.minus.disc_radius,
-        )
+        """Signed atoms (angles, weights, radius): plus with +, minus with -, radius r_P - r_M.
+
+        The one place the sign convention is written.  plus and minus may
+        also be atom triples batched over leading axes; atoms are joined
+        along the last axis.
+        """
+        (pa, pw, pr), (ma, mw, mr) = atoms_of(self.plus), atoms_of(self.minus)
+        return np.concatenate([pa, ma], axis=-1), np.concatenate([pw, -mw], axis=-1), pr - mr
 
     @property
     def is_zero(self) -> bool:
@@ -52,31 +55,18 @@ class LiftedVector:
         return scale_real(self, lam)
 
 
-def cancel_shared(u: Body, v: Body, near: float = 0.0) -> tuple[Body, Body, float | None]:
-    """Subtract the common part of u and v: every shared direction and the smaller disc.
+def lift(u: Body, v: Body) -> LiftedVector:
+    """Canonical representative of the class of (u, v): cancel shared summands.
 
-    This is merge_atoms on u's atoms with + and v's with -, split by sign,
-    so a remainder keeps its own side's angle.  A shared direction whose
-    half-lengths differ by at most `near` times the larger one cancels
-    completely (no residual sliver).  Also returns the angle (u's) of the
-    first shared direction, or None when there is none.
+    merge_atoms on the signed atoms of [u, v], split by sign, so a
+    remainder keeps its own side's angle; the smaller disc cancels too.
     """
-    angles, weights, shared = merge_atoms(
-        np.concatenate([u.angles, v.angles]), np.concatenate([u.lengths, -v.lengths]), near
-    )
+    angles, weights, _ = merge_atoms(*LiftedVector(u, v).atoms[:2])
     plus = weights > 0.0
     r = min(u.disc_radius, v.disc_radius)
-    return (
-        Body(angles[plus], weights[plus], u.disc_radius - r),
-        Body(angles[~plus], -weights[~plus], v.disc_radius - r),
-        shared,
+    return LiftedVector(
+        Body(angles[plus], weights[plus], u.disc_radius - r), Body(angles[~plus], -weights[~plus], v.disc_radius - r)
     )
-
-
-def lift(u: Body, v: Body) -> LiftedVector:
-    """Canonical representative of the class of (u, v): cancel shared summands."""
-    plus, minus, _ = cancel_shared(u, v)
-    return LiftedVector(plus, minus)
 
 
 def from_body(u: Body) -> LiftedVector:
@@ -120,7 +110,7 @@ def bilinear_M(x: LiftedVector, y: LiftedVector) -> float:
 
 
 def perimeter_ext(x: LiftedVector) -> float:
-    return bodies.perimeter(x.plus) - bodies.perimeter(x.minus)
+    return float(bodies.perimeter(x.atoms))
 
 
 def deficit(x: LiftedVector) -> float:
@@ -152,7 +142,7 @@ def norm(x: LiftedVector) -> float:
 
 def norm_c(x: LiftedVector) -> float:
     """Sup norm of the support difference = Hausdorff distance of the pair."""
-    return hausdorff(x.plus, x.minus)
+    return sup_norm(x.atoms)
 
 
 def norm_bp(x: LiftedVector) -> float:
@@ -161,7 +151,7 @@ def norm_bp(x: LiftedVector) -> float:
     The infimum over all representatives (plus+W, minus+W) is attained at
     W = origin since support functions are nonnegative and additive.
     """
-    return hausdorff(x.plus, bodies.ORIGIN) + hausdorff(x.minus, bodies.ORIGIN)
+    return sup_norm(x.plus) + sup_norm(x.minus)
 
 
 def vectors_close(x: LiftedVector, y: LiftedVector, tol: float = 1e-10) -> bool:

@@ -9,15 +9,14 @@ K(phi, psi) = 2 - (pi/2) sin|phi - psi|.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bodies, lifted
-from .bodies import PI, Body, segment, support_many
+from . import bodies
+from .bodies import PI, frozen_array, json_number, segment, support_many
 from .errors import DomainError, InvalidInputError, NumericError
 from .lifted import LiftedVector, lift
 
@@ -45,37 +44,43 @@ def kernel_vector(phi: float) -> LiftedVector:
 def evaluate(x: LiftedVector, phi: float) -> float:
     """Support difference at the normal of phi; equals inner(x, kernel_vector(phi))."""
     _check_domain(phi)
-    theta = phi + PI / 2.0
-    return bodies.support(x.plus, theta) - bodies.support(x.minus, theta)
+    return bodies.support(x.atoms, phi + PI / 2.0)
 
 
 def evaluate_many(x: LiftedVector, phis: np.ndarray) -> np.ndarray:
-    thetas = np.asarray(phis, dtype=float) + PI / 2.0
-    return support_many(x.plus, thetas) - support_many(x.minus, thetas)
+    return support_many(x.atoms, np.asarray(phis, dtype=float) + PI / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WidthFunction:
-    nodes: tuple[float, ...]
-    values: tuple[float, ...]
+    """Samples of a width function; `nodes` and `values` are read-only float arrays."""
+
+    nodes: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", frozen_array(self.nodes))
+        object.__setattr__(self, "values", frozen_array(self.values))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WidthFunction):
+            return NotImplemented
+        return np.array_equal(self.nodes, other.nodes) and np.array_equal(self.values, other.values)
 
     def to_dict(self) -> dict:
-        return {"nodes": list(self.nodes), "values": list(self.values)}
+        return {"nodes": self.nodes.tolist(), "values": self.values.tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(repr(n) for n in self.nodes) + "\n")
-        buf.write(",".join(repr(v) for v in self.values) + "\n")
-        return buf.getvalue()
+        return "".join(",".join(map(repr, row.tolist())) + "\n" for row in (self.nodes, self.values))
 
 
 def width_function_from_dict(obj: dict) -> WidthFunction:
     try:
-        nodes = tuple(float(n) for n in obj["nodes"])
-        values = tuple(float(v) for v in obj["values"])
+        nodes = [json_number(n) for n in obj["nodes"]]
+        values = [json_number(v) for v in obj["values"]]
     except KeyError as exc:
         raise InvalidInputError(f"width function JSON missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -90,8 +95,7 @@ def sample(x: LiftedVector, n: int) -> WidthFunction:
     if n < 2:
         raise InvalidInputError(f"need n >= 2 grid points, got {n}")
     nodes = np.linspace(0.0, PI, n)
-    values = evaluate_many(x, nodes)
-    return WidthFunction(tuple(map(float, nodes)), tuple(map(float, values)))
+    return WidthFunction(nodes, evaluate_many(x, nodes))
 
 
 @dataclass(frozen=True, eq=False)

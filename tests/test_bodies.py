@@ -203,6 +203,31 @@ class TestAtomForm:
                 one = bodies.atom_form(angles[i, j], weights[i, j], radii[i, j], angles[1 - i, j], weights[1 - i, j], radii[1 - i, j])
                 assert batch[i, j].tobytes() == np.float64(one).tobytes()
 
+    def test_support_and_perimeter_batch_rows_equal_single_calls(self, rng):
+        k, m = 6, 5
+        angles = rng.uniform(0, PI, (2, 3, k))
+        weights = rng.uniform(-1, 1, (2, 3, k))
+        radii = rng.uniform(-1, 1, (2, 3))
+        thetas = rng.uniform(0, 2 * PI, (2, 3, m))
+        support = bodies.support_many((angles, weights, radii), thetas)
+        perimeter = bodies.perimeter((angles, weights, radii))
+        assert support.shape == (2, 3, m) and perimeter.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one = (angles[i, j], weights[i, j], radii[i, j])
+                assert support[i, j].tobytes() == bodies.support_many(one, thetas[i, j]).tobytes()
+                assert perimeter[i, j].tobytes() == np.float64(bodies.perimeter(one)).tobytes()
+
+    def test_body_triple_and_lifted_agree(self, rng):
+        # A Body, its atom triple and [body, origin] give the same bits.
+        thetas = np.linspace(0.0, 2 * PI, 17)
+        for _ in range(20):
+            a = random_body(rng)
+            for x in (a.atoms, z.from_body(a)):
+                assert bodies.support_many(x, thetas).tobytes() == bodies.support_many(a, thetas).tobytes()
+                assert bodies.perimeter(x) == bodies.perimeter(a)
+                assert bodies.sup_norm(x) == bodies.sup_norm(a)
+
 
 class TestVertices:
     def test_square_vertices(self):
@@ -228,6 +253,15 @@ class TestVertices:
 class TestHausdorff:
     def test_identical(self):
         assert z.hausdorff(B, B) == 0.0
+
+    def test_is_sup_norm_of_the_difference(self, rng):
+        # hausdorff(a, b) is the sup norm of [a, b]'s signed atoms, and
+        # canonical lifting (cancelling the shared part) does not change it.
+        for _ in range(50):
+            a, b = random_body(rng), random_body(rng)
+            d = z.hausdorff(a, b)
+            assert d == bodies.sup_norm(z.LiftedVector(a, b))
+            assert z.norm_c(z.lift(a, b)) == pytest.approx(d, rel=1e-12, abs=1e-12)
 
     def test_square_vs_disc(self):
         assert z.hausdorff(S, B) == pytest.approx(0.5, abs=1e-12)

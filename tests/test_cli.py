@@ -190,6 +190,10 @@ class TestExitCodes:
             (["kernel", "interp"], '{"nodes": 5, "values": [1]}'),
             (["kernel", "interp"], "[]"),
             (["kernel", "interp"], '{"nodes": ["a"], "values": [1]}'),
+            # JSON booleans and numeric strings are not numbers
+            (["body", "stats"], '{"diangles": [{"angle": true, "d": 1}], "disc": false}'),
+            (["kernel", "interp"], '{"nodes": [0, true], "values": [1, false]}'),
+            (["body", "stats"], '{"diangles": [{"angle": "0.5", "d": 1}], "disc": 0}'),
         ],
         ids=lambda v: v if isinstance(v, str) else " ".join(v),
     )
@@ -282,6 +286,8 @@ MALFORMED = {
     "m_object.json": "{}",
     "m_diangles_type.json": '{"diangles": 5, "disc": 0.0}',
     "m_angle_type.json": '{"diangles": [{"angle": "x", "d": 1.0}], "disc": 0.0}',
+    "m_angle_bool.json": '{"diangles": [{"angle": true, "d": 1}], "disc": false}',
+    "m_values_bool.json": '{"nodes": [0, true], "values": [1, false]}',
     "m_angle_nan.json": '{"diangles": [{"angle": NaN, "d": 1.0}], "disc": 0.0}',
     "m_angle_inf.json": '{"diangles": [{"angle": 1e400, "d": 1.0}], "disc": 0.0}',
     "m_angle_bigint.json": '{"diangles": [{"angle": 1' + "0" * 400 + ', "d": 1.0}], "disc": 0.0}',

@@ -184,6 +184,28 @@ class TestReducePair:
         assert trace.witness.is_origin
         assert [step.joint_sides_after for step in trace.steps] == [0]
 
+    def test_builds_only_the_witness(self, monkeypatch):
+        # The loop runs on atom arrays: however many steps, one Body (the
+        # witness) and one LiftedVector (the input's signed atoms) are built.
+        built = {"Body": 0, "LiftedVector": 0}
+        body_post_init, lifted_init = bodies.Body.__post_init__, LiftedVector.__init__
+
+        def count_body(self):
+            built["Body"] += 1
+            body_post_init(self)
+
+        def count_lifted(self, *args):
+            built["LiftedVector"] += 1
+            lifted_init(self, *args)
+
+        u = z.body([(0.1, 1.0), (0.9, 0.6), (1.7, 1.1), (2.5, 0.3)])
+        v = z.body([(0.4, 0.8), (1.3, 0.5), (2.2, 0.7)])
+        monkeypatch.setattr(bodies.Body, "__post_init__", count_body)
+        monkeypatch.setattr(LiftedVector, "__init__", count_lifted)
+        trace = z.reduce_pair(u, v)
+        assert len(trace.steps) == 3
+        assert built == {"Body": 1, "LiftedVector": 1}
+
     def test_trace_invariants(self, rng):
         for _ in range(200):
             u = random_zonogon(rng, 6)

@@ -254,6 +254,16 @@ class TestSample:
             slope = float(x.plus.lengths.sum() + x.minus.lengths.sum())
             assert sup >= z.norm_c(x) - (PI / 4095) * (slope + 1.0)
 
+    def test_read_only_arrays(self):
+        wf = z.sample(z.lift(S, B), 5)
+        for arr in (wf.nodes, wf.values):
+            assert isinstance(arr, np.ndarray) and arr.dtype == float
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # the constructor copies its input
+        nodes = np.array([0.0, 1.0])
+        assert rkhs.WidthFunction(nodes, [2.0, 3.0]).nodes is not nodes
+
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
             z.sample(z.from_body(S), 1)
