@@ -196,7 +196,8 @@ def rotate(a: Body, phi: float) -> Body:
     return canonicalize(a.angles + phi, a.lengths, a.disc_radius)
 
 
-def support(a: Body, theta: float) -> float:
+def support(a, theta: float) -> float:
+    """h(theta) of a Body, a LiftedVector or an atom triple."""
     return float(support_many(a, np.array([theta]))[0])
 
 
