@@ -67,10 +67,10 @@ from .rkhs import (
     WidthFunction,
     evaluate,
     gram,
+    grid_eigenvalues,
     interpolate,
     kernel,
     kernel_vector,
-    psd_min_eig,
     sample,
 )
 

@@ -204,8 +204,7 @@ def _cmd_kernel(args) -> int:
         else:
             _emit_json(g.to_dict(), args.out)
     elif args.action == "eig":
-        g = rkhs.gram(np.linspace(0.0, PI, args.nodes))
-        eigs = rkhs.jacobi_eigenvalues(g.array)
+        eigs = rkhs.grid_eigenvalues(args.nodes)
         _emit_json({"nodes": args.nodes, "min_eig": float(eigs[0]), "eigenvalues": list(map(float, eigs))}, args.out)
     elif args.action == "eval":
         wf = rkhs.sample(_read_lifted(args.file), args.nodes)
@@ -328,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel = sub.add_parser("kernel", help="kernel matrices, eigenvalues, sampling, interpolation")
     p_kernel.add_argument("action", choices=["gram", "eig", "eval", "interp"])
     p_kernel.add_argument("file", nargs="?", help="lifted vector (eval) or width function (interp) JSON")
-    p_kernel.add_argument("--nodes", type=_int_in(1), default=16, help="grid size (eval needs >= 2)")
+    max_nodes = rkhs.MAX_NODES
+    p_kernel.add_argument(
+        "--nodes", type=_int_in(1, max_nodes), default=16, help=f"grid size, at most {max_nodes} (eval needs >= 2)"
+    )
     p_kernel.add_argument("--ridge", type=_finite_at_least(0.0), default=0.0, help="finite, >= 0")
     p_kernel.add_argument("--csv", action="store_true")
     add_out(p_kernel)

@@ -1,8 +1,9 @@
-"""Brute-force vertex-based polygon arithmetic.
+"""Brute-force references for the closed forms.
 
-Validation counterpart to the closed forms in zonalg.bodies: everything
-here works on explicit vertex lists and deliberately never calls the
-zonogon closed forms.
+Validation counterpart to zonalg.bodies and zonalg.rkhs. The polygon
+arithmetic works on explicit vertex lists and deliberately never calls the
+zonogon closed forms; the Jacobi eigenvalue solver works on a dense matrix
+and never uses the circulant structure behind rkhs.grid_eigenvalues.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import PI, Body, Point, body
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
+from .rkhs import GramMatrix
+
+JACOBI_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,3 +138,81 @@ def disc_polygon(r: float, n: int) -> Body:
         raise InvalidInputError(f"radius must be >= 0, got {r}")
     d = r * math.tan(PI / (2 * n))
     return body([(k * PI / n, d) for k in range(n)])
+
+
+def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Round-robin pairing of an even number m of indices (Brent & Luk 1985).
+
+    Returns `(layout, step)`. In the first step, `layout[2i]` is paired with
+    `layout[2i + 1]`. Re-indexing a layout by `step` gives the pairs of the
+    next step. After m - 1 steps every two indices have met exactly once and
+    the layout is back to `layout`.
+    """
+    half = m // 2
+
+    def paired(ring: np.ndarray) -> np.ndarray:
+        # circle method: ring[i] meets ring[m - 1 - i]
+        return np.column_stack([ring[:half], ring[: half - 1 : -1]]).ravel()
+
+    layout = paired(np.arange(m))
+    # index 0 stays put while the others move one place round the circle
+    moved = paired(np.r_[0, 2:m, 1])
+    return layout, np.argsort(layout)[moved]
+
+
+def jacobi_eigenvalues(matrix: np.ndarray, eps: float = JACOBI_EPS, max_sweeps: int = 100) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by parallel Jacobi rotations.
+
+    A sweep is n - 1 steps of the round-robin ordering (odd n is padded
+    with a decoupled zero index). Each step rotates n/2 disjoint (p, q)
+    planes at once: all row pairs, then all column pairs. Sweeps stop once
+    the off-diagonal Frobenius norm, summed entry by entry, is at most
+    `eps` times that of the whole matrix. If `max_sweeps` sweeps do not get
+    there, `NumericError` gives the sweep count and the norm reached.
+    """
+    a = np.array(matrix, dtype=float)
+    square = a.ndim == 2 and a.shape[0] == a.shape[1] and np.isfinite(a).all()
+    if not square or (a.size and not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max()))):
+        raise InvalidInputError("jacobi_eigenvalues needs a finite symmetric square matrix")
+    n = a.shape[0]
+    if n <= 1:
+        return a.diagonal().copy()
+    m = n + n % 2
+    half = m // 2
+    layout, step = _round_robin(m)
+    padded = np.zeros((m, m))
+    padded[:n, :n] = a
+    b = padded[np.ix_(layout, layout)]
+    rot = np.empty((half, 2, 2))
+    target = eps * (math.sqrt(float(np.sum(a * a))) or 1.0)
+    for sweep in range(max_sweeps + 1):
+        off = float(np.linalg.norm(b - np.diag(b.diagonal())))
+        if off <= target:
+            return np.sort(b.diagonal()[layout < n])
+        if sweep == max_sweeps:
+            break
+        for _ in range(m - 1):
+            # pair i is (2i, 2i + 1); |phi| <= pi/4 zeroes b[2i, 2i + 1]
+            diag = b.diagonal()
+            d = diag[1::2] - diag[0::2]
+            apq = b[0::2, 1::2].diagonal()
+            phi = 0.5 * np.arctan2(2.0 * np.where(d < 0.0, -apq, apq), np.abs(d))
+            c, s = np.cos(phi), np.sin(phi)
+            rot[:, 0, 0] = rot[:, 1, 1] = c
+            rot[:, 0, 1] = -s
+            rot[:, 1, 0] = s
+            rows = np.matmul(rot, b.reshape(half, 2, m)).reshape(m, m)
+            # J^T A J = J^T (J^T A)^T for symmetric A, so the column rotation
+            # is a row rotation of the transpose; the moves to the next
+            # step's pairs ride along with the copies.
+            cols = np.ascontiguousarray(rows.take(step, axis=0).T)
+            b = np.matmul(rot, cols.reshape(half, 2, m)).reshape(m, m).take(step, axis=0)
+    raise NumericError(
+        f"Jacobi did not converge in {max_sweeps} sweeps: off-diagonal norm {off:.3e} > {target:.3e}"
+    )
+
+
+def psd_min_eig(g: GramMatrix | np.ndarray) -> float:
+    """Smallest eigenvalue of a Gram matrix via round-robin Jacobi."""
+    mat = g.array if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
+    return float(jacobi_eigenvalues(mat)[0])

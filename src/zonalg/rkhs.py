@@ -20,7 +20,10 @@ from .bodies import PI, frozen_array, json_number, segment, support_many
 from .errors import DomainError, InvalidInputError, NumericError
 from .lifted import LiftedVector, lift
 
-JACOBI_EPS = 1e-12
+# Largest grid the kernel commands take; `kernel gram` at this size peaks
+# near 0.35 GB, and it caps the bisection of `grid_eigenvalues` at
+# (MAX_NODES / 2)**2 entries per step.
+MAX_NODES = 2048
 
 
 def _check_domain(phi: float) -> None:
@@ -91,11 +94,17 @@ def width_function_from_dict(obj: dict) -> WidthFunction:
 
 
 def sample(x: LiftedVector, n: int) -> WidthFunction:
-    """Evaluate x on the uniform n-point grid over [0, pi]."""
+    """Evaluate x on the uniform n-point grid over [0, pi].
+
+    The end node pi is the circle point 0, so it takes the first sample. (A
+    second evaluation at 0 may round differently: the matrix-vector product
+    need not sum every row in the same order.)
+    """
     if n < 2:
         raise InvalidInputError(f"need n >= 2 grid points, got {n}")
     nodes = np.linspace(0.0, PI, n)
-    return WidthFunction(nodes, evaluate_many(x, nodes))
+    values = evaluate_many(x, nodes[:-1])
+    return WidthFunction(nodes, np.append(values, values[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,82 +149,44 @@ def gram(nodes) -> GramMatrix:
     return GramMatrix(arr, mat)
 
 
-def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Round-robin pairing of an even number m of indices (Brent & Luk 1985).
+def grid_eigenvalues(n: int) -> np.ndarray:
+    """Eigenvalues, ascending, of gram(linspace(0, pi, n)), without forming it.
 
-    Returns `(layout, step)`. In the first step, `layout[2i]` is paired with
-    `layout[2i + 1]`. Re-indexing a layout by `step` gives the pairs of the
-    next step. After m - 1 steps every two indices have met exactly once and
-    the layout is back to `layout`.
+    K is circulant on R/piZ, and the grid visits 0 = pi twice, so its Gram
+    matrix is P C P^T: C is the circulant of c_k = K(0, k pi/m) on m = n - 1
+    nodes and P repeats node 0. Its nonzero spectrum is that of
+    C^(1/2) (I + e_0 e_0^T) C^(1/2), a rank-one update of C. In the Fourier
+    basis C is diag(mu), mu = rfft(c), and the update has weight mu/m on each
+    mode. So the spectrum is 0 (the repeated node), one copy of each doubled
+    mu (the update meets one vector of its plane), and one root of
+    1 + sum mult * mu / (m (mu - lam)) per distinct mu (Golub 1973).
     """
-    half = m // 2
-
-    def paired(ring: np.ndarray) -> np.ndarray:
-        # circle method: ring[i] meets ring[m - 1 - i]
-        return np.column_stack([ring[:half], ring[: half - 1 : -1]]).ravel()
-
-    layout = paired(np.arange(m))
-    # index 0 stays put while the others move one place round the circle
-    moved = paired(np.r_[0, 2:m, 1])
-    return layout, np.argsort(layout)[moved]
-
-
-def jacobi_eigenvalues(matrix: np.ndarray, eps: float = JACOBI_EPS, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by parallel Jacobi rotations.
-
-    A sweep is n - 1 steps of the round-robin ordering (odd n is padded
-    with a decoupled zero index). Each step rotates n/2 disjoint (p, q)
-    planes at once: all row pairs, then all column pairs. Sweeps stop once
-    the off-diagonal Frobenius norm, summed entry by entry, is at most
-    `eps` times that of the whole matrix. If `max_sweeps` sweeps do not get
-    there, `NumericError` gives the sweep count and the norm reached.
-    """
-    a = np.array(matrix, dtype=float)
-    square = a.ndim == 2 and a.shape[0] == a.shape[1] and np.isfinite(a).all()
-    if not square or (a.size and not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max()))):
-        raise InvalidInputError("jacobi_eigenvalues needs a finite symmetric square matrix")
-    n = a.shape[0]
-    if n <= 1:
-        return a.diagonal().copy()
-    m = n + n % 2
-    half = m // 2
-    layout, step = _round_robin(m)
-    padded = np.zeros((m, m))
-    padded[:n, :n] = a
-    b = padded[np.ix_(layout, layout)]
-    rot = np.empty((half, 2, 2))
-    target = eps * (math.sqrt(float(np.sum(a * a))) or 1.0)
-    for sweep in range(max_sweeps + 1):
-        off = float(np.linalg.norm(b - np.diag(b.diagonal())))
-        if off <= target:
-            return np.sort(b.diagonal()[layout < n])
-        if sweep == max_sweeps:
+    if not 1 <= n <= MAX_NODES:
+        raise InvalidInputError(f"grid size must be in [1, {MAX_NODES}], got {n}")
+    if n == 1:
+        return np.array([2.0])
+    m = n - 1
+    mu = np.fft.rfft(2.0 - (PI / 2.0) * np.sin(np.arange(m) * (PI / m))).real
+    mult = np.full(len(mu), 2.0)
+    mult[0] = 1.0
+    if m % 2 == 0:
+        mult[-1] = 1.0  # the Nyquist mode is real
+    order = np.argsort(mu)
+    poles, weights = mu[order], (mult * mu / m)[order]
+    # The secular function rises from -inf to +inf between poles and to 1
+    # above the last one, where sum(weights) bounds the root's distance.
+    lo = poles.copy()
+    hi = np.append(poles[1:], poles[-1] + weights.sum())
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((lo < mid) & (mid < hi))
+        if not live.size:
             break
-        for _ in range(m - 1):
-            # pair i is (2i, 2i + 1); |phi| <= pi/4 zeroes b[2i, 2i + 1]
-            diag = b.diagonal()
-            d = diag[1::2] - diag[0::2]
-            apq = b[0::2, 1::2].diagonal()
-            phi = 0.5 * np.arctan2(2.0 * np.where(d < 0.0, -apq, apq), np.abs(d))
-            c, s = np.cos(phi), np.sin(phi)
-            rot[:, 0, 0] = rot[:, 1, 1] = c
-            rot[:, 0, 1] = -s
-            rot[:, 1, 0] = s
-            rows = np.matmul(rot, b.reshape(half, 2, m)).reshape(m, m)
-            # J^T A J = J^T (J^T A)^T for symmetric A, so the column rotation
-            # is a row rotation of the transpose; the moves to the next
-            # step's pairs ride along with the copies.
-            cols = np.ascontiguousarray(rows.take(step, axis=0).T)
-            b = np.matmul(rot, cols.reshape(half, 2, m)).reshape(m, m).take(step, axis=0)
-    raise NumericError(
-        f"Jacobi did not converge in {max_sweeps} sweeps: off-diagonal norm {off:.3e} > {target:.3e}"
-    )
-
-
-def psd_min_eig(g: GramMatrix | np.ndarray) -> float:
-    """Smallest eigenvalue via round-robin Jacobi."""
-    mat = g.array if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
-    return float(jacobi_eigenvalues(mat)[0])
+        x = mid[live]
+        below = 1.0 + (weights / (poles - x[:, None])).sum(axis=1) < 0.0
+        lo[live[below]] = x[below]
+        hi[live[~below]] = x[~below]
+    return np.sort(np.concatenate([[0.0], mu[mult == 2.0], hi]))
 
 
 def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:

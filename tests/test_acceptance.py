@@ -99,9 +99,12 @@ def test_05_kernel_gram():
     expected = 2.0 - (PI / 2) * np.sin(np.abs(nodes[:, None] - nodes[None, :]))
     entry_err = float(np.max(np.abs(g - expected)))
     diag_exact = bool(np.all(g.diagonal() == 2.0))
-    min_eig = z.psd_min_eig(g)
-    ok = entry_err <= 1e-12 and diag_exact and min_eig >= -1e-9
-    report(5, "kernel gram", ok, f"entry err {entry_err:.1e}, diag exact {diag_exact}, min eig {min_eig:.2e}")
+    jacobi = oracle.jacobi_eigenvalues(g)
+    min_eig = float(jacobi[0])
+    spectrum_err = float(np.max(np.abs(z.grid_eigenvalues(64) - jacobi))) / jacobi[-1]
+    ok = entry_err <= 1e-12 and diag_exact and min_eig >= -1e-9 and spectrum_err <= 1e-12
+    detail = f"entry err {entry_err:.1e}, diag exact {diag_exact}, Jacobi min eig {min_eig:.2e}"
+    report(5, "kernel gram", ok, f"{detail}, grid_eigenvalues vs Jacobi {spectrum_err:.1e} lam_max")
 
 
 def test_06_reproducing_property():

@@ -163,6 +163,10 @@ class TestExitCodes:
             ["check", "iso", "--seed", "-1"],
             ["kernel", "interp", "widthfn.json", "--ridge", "nan"],
             ["kernel", "interp", "widthfn.json", "--ridge", "-1e-3"],
+            ["kernel", "gram", "--nodes", "2000000"],
+            ["kernel", "eig", "--nodes", "2000000"],
+            ["kernel", "eval", "lifted_sb.json", "--nodes", "2000000"],
+            ["kernel", "eig", "--nodes", str(z.rkhs.MAX_NODES + 1)],
         ],
         ids=" ".join,
     )
@@ -227,6 +231,10 @@ class TestExitCodes:
         # The largest width whose (2 * m)**2 sine entries fit in CHUNK_ENTRIES.
         assert run(["check", "bmgen", "--trials", "1", "--max-diangles", "1024"]) == 0
         assert json.loads(capsys.readouterr().out)["violations"] == 0
+
+    def test_max_nodes_at_bound_runs(self, capsys):
+        assert run(["kernel", "eig", "--nodes", str(z.rkhs.MAX_NODES)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["eigenvalues"]) == z.rkhs.MAX_NODES
 
     @pytest.mark.parametrize("inequality", ["iso", "bm", "bmgen", "schwarz"])
     def test_empty_campaign_min_slack_null(self, inequality, capsys):

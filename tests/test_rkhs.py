@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import zonalg as z
-from zonalg import rkhs
+from zonalg import oracle, rkhs
 from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import DomainError, InvalidInputError, NumericError
 
@@ -125,7 +125,7 @@ class TestGram:
                 )
 
     def test_psd(self):
-        assert z.psd_min_eig(z.gram(np.linspace(0, PI, 48))) >= -1e-9
+        assert oracle.psd_min_eig(z.gram(np.linspace(0, PI, 48))) >= -1e-9
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -138,10 +138,10 @@ class TestGram:
 
 class TestJacobi:
     def test_one_by_one(self):
-        assert rkhs.jacobi_eigenvalues(np.array([[2.0]])) == pytest.approx([2.0])
+        assert oracle.jacobi_eigenvalues(np.array([[2.0]])) == pytest.approx([2.0])
 
     def test_two_node_gram(self):
-        eigs = rkhs.jacobi_eigenvalues(z.gram([0.0, PI / 2]).array)
+        eigs = oracle.jacobi_eigenvalues(z.gram([0.0, PI / 2]).array)
         assert eigs == pytest.approx([PI / 2, 4 - PI / 2], abs=1e-12)
 
     def test_matches_numpy_oracle(self, rng):
@@ -149,7 +149,7 @@ class TestJacobi:
         for n in (2, 3, 5, 16, 33):
             m = rng.standard_normal((n, n))
             sym = (m + m.T) / 2
-            ours = rkhs.jacobi_eigenvalues(sym)
+            ours = oracle.jacobi_eigenvalues(sym)
             ref = np.linalg.eigvalsh(sym)
             assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
@@ -157,24 +157,24 @@ class TestJacobi:
         # max_sweeps=20 also shows that no size is near the default cap of 100
         for n in range(8, 129, 8):
             g = z.gram(np.linspace(0, PI, n)).array
-            ours = rkhs.jacobi_eigenvalues(g, max_sweeps=20)
+            ours = oracle.jacobi_eigenvalues(g, max_sweeps=20)
             ref = np.linalg.eigvalsh(g)
             assert np.max(np.abs(ours - ref)) <= 1e-12 * ref[-1], n
 
     def test_unconverged_raises(self, rng):
         m = rng.standard_normal((16, 16))
         with pytest.raises(NumericError, match="1 sweeps: off-diagonal norm"):
-            rkhs.jacobi_eigenvalues(m + m.T, max_sweeps=1)
+            oracle.jacobi_eigenvalues(m + m.T, max_sweeps=1)
 
     def test_stopping_test_sees_small_off_diagonal(self):
         # ||A||^2 - ||diag A||^2 rounds these off-diagonal entries away
         a = np.diag(1e8 + np.arange(4.0)) + (np.ones((4, 4)) - np.eye(4))
         with pytest.raises(NumericError, match="0 sweeps"):
-            rkhs.jacobi_eigenvalues(a, max_sweeps=0)
+            oracle.jacobi_eigenvalues(a, max_sweeps=0)
 
     def test_round_robin_meets_every_pair_once(self):
         for m in (2, 4, 6, 34):
-            layout, step = rkhs._round_robin(m)
+            layout, step = oracle._round_robin(m)
             current, met = layout, set()
             for _ in range(m - 1):
                 met.update(frozenset(pair) for pair in current.reshape(-1, 2).tolist())
@@ -184,15 +184,54 @@ class TestJacobi:
 
     def test_gram_oracle(self, rng):
         g = z.gram(np.sort(rng.uniform(0, PI, 12))).array
-        assert rkhs.jacobi_eigenvalues(g) == pytest.approx(np.linalg.eigvalsh(g), abs=1e-9)
+        assert oracle.jacobi_eigenvalues(g) == pytest.approx(np.linalg.eigvalsh(g), abs=1e-9)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
-            rkhs.jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            oracle.jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
-            rkhs.jacobi_eigenvalues(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+            oracle.jacobi_eigenvalues(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+
+GRID_SIZES = [*range(1, 41), 64, 128, 257, 1000]
+
+
+class TestGridEigenvalues:
+    def test_matches_eigvalsh(self):
+        for n in GRID_SIZES:
+            ours = z.grid_eigenvalues(n)
+            ref = np.linalg.eigvalsh(z.gram(np.linspace(0, PI, n)).array)
+            assert np.max(np.abs(ours - ref)) <= 1e-14 * ref[-1], n
+
+    def test_matches_mpmath(self):
+        # 50-digit eigenvalues of the float64 Gram matrix itself
+        mpmath = pytest.importorskip("mpmath")
+        for n in (8, 16, 33):
+            g = z.gram(np.linspace(0, PI, n)).array
+            with mpmath.workdps(50):
+                ref = np.sort([float(e) for e in mpmath.eigsy(mpmath.matrix(g.tolist()), eigvals_only=True)])
+            assert np.max(np.abs(z.grid_eigenvalues(n) - ref)) <= 1e-15 * ref[-1], n
+
+    def test_trace(self):
+        for n in GRID_SIZES:
+            assert abs(float(np.sum(z.grid_eigenvalues(n))) - 2.0 * n) <= 1e-13 * n, n
+
+    def test_one_null_eigenvalue(self):
+        # the grid visits the circle point 0 = pi twice
+        for n in GRID_SIZES[1:]:
+            eigs = z.grid_eigenvalues(n)
+            assert np.count_nonzero(eigs == 0.0) == 1 and eigs[0] == 0.0, n
+
+    def test_small_grids_exact(self):
+        assert z.grid_eigenvalues(1).tolist() == [2.0]
+        assert z.grid_eigenvalues(2).tolist() == [0.0, 4.0]
+
+    def test_size_bounds(self):
+        for n in (0, rkhs.MAX_NODES + 1):
+            with pytest.raises(InvalidInputError):
+                z.grid_eigenvalues(n)
 
 
 class TestInterpolate:
@@ -263,6 +302,12 @@ class TestSample:
         # the constructor copies its input
         nodes = np.array([0.0, 1.0])
         assert rkhs.WidthFunction(nodes, [2.0, 3.0]).nodes is not nodes
+
+    def test_end_sample_repeats_first(self, rng):
+        # phi = pi is the circle point phi = 0
+        for _ in range(50):
+            values = z.sample(random_lifted(rng, 6), int(rng.integers(2, 300))).values
+            assert values[0] == values[-1]
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
