@@ -11,7 +11,6 @@ from .bodies import (
     UNIT_DISC,
     UNIT_SQUARE,
     Body,
-    Point,
     area,
     atom_form,
     body,
@@ -63,8 +62,6 @@ from .lifted import (
     scale_real,
 )
 from .rkhs import (
-    GramMatrix,
-    WidthFunction,
     evaluate,
     gram,
     grid_eigenvalues,

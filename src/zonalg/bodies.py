@@ -31,12 +31,6 @@ def frozen_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-
 @dataclass(frozen=True, eq=False)
 class Body:
     """Canonical body: atoms sorted by direction plus a disc radius.
@@ -257,25 +251,23 @@ def mixed_area(a: Body, b: Body) -> float:
     return float(atom_form(*a.atoms, *b.atoms))
 
 
-def vertices(a: Body) -> list[Point]:
-    """Counterclockwise vertices of a pure zonogon."""
+def vertices(a: Body) -> np.ndarray:
+    """Counterclockwise vertices of a pure zonogon, as read-only (n, 2) rows.
+
+    The walk starts at minus the sum of the half-edges and adds the edges in
+    order, each coordinate summed as its own 1-D array.
+    """
     if a.disc_radius != 0.0:
         raise UnsupportedRepresentationError("vertices requires disc_radius = 0; polygonize the disc first")
     if not len(a.angles):
-        return [Point(0.0, 0.0)]
+        return frozen_array([[0.0, 0.0]])
     ux = a.lengths * np.cos(a.angles)
     uy = a.lengths * np.sin(a.angles)
-    x, y = -ux.sum(), -uy.sum()
-    pts = [Point(float(x), float(y))]
-    for dx, dy in zip(2.0 * ux, 2.0 * uy):
-        x += dx
-        y += dy
-        pts.append(Point(float(x), float(y)))
-    for dx, dy in zip(2.0 * ux[:-1], 2.0 * uy[:-1]):
-        x -= dx
-        y -= dy
-        pts.append(Point(float(x), float(y)))
-    return pts
+    edges = 2.0 * np.column_stack([ux, uy])
+    walk = np.concatenate([[[-ux.sum(), -uy.sum()]], edges, -edges[:-1]])
+    verts = np.cumsum(walk, axis=0)
+    verts.flags.writeable = False
+    return verts
 
 
 def sup_norm(a) -> float:

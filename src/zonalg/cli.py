@@ -44,6 +44,19 @@ def _emit_json(obj, out_path: str | None) -> None:
     _emit(_dumps(obj) + "\n", out_path)
 
 
+def _csv(rows) -> str:
+    """CSV of a 2-D float array, each entry as repr writes it; NaN or inf is an error.
+
+    Each distinct bit pattern (so 0.0 and -0.0 apart) is formatted once; the
+    inverse is reshaped, as numpy 1.x and 2.x give it different shapes."""
+    arr = np.ascontiguousarray(rows, dtype=float)
+    if not np.isfinite(arr).all():
+        raise NumericError("result is not finite")
+    distinct, index = np.unique(arr.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return "".join(",".join(row) + "\n" for row in text[index.reshape(arr.shape)].tolist())
+
+
 def _read_body(path: str) -> Body:
     with open(path) as fh:
         return bodies.body_from_json(fh.read())
@@ -82,24 +95,27 @@ def body_svg(a: Body, grid: int = 256) -> str:
     if not len(a.angles):
         shape = f'<circle cx="0" cy="0" r="{max(r, half / 400):.9g}"/>\n'
     else:
-        verts = bodies.vertices(Body(a.angles, a.lengths))
+        verts = bodies.vertices(Body(a.angles, a.lengths)).tolist()
         if r == 0.0:
-            pts = " ".join(f"{p.x:.9g},{p.y:.9g}" for p in verts)
+            pts = " ".join(f"{x:.9g},{y:.9g}" for x, y in verts)
             shape = f'<polygon points="{pts}"/>\n'
         else:
             # Each edge pushed out by r along its normal; an arc joins it to the next.
             starts, ends = [], []
-            for p, q in zip(verts, verts[1:] + verts[:1]):
-                ex, ey = q.x - p.x, q.y - p.y
+            for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
+                ex, ey = qx - px, qy - py
                 norm = math.hypot(ex, ey)
                 nx, ny = ey / norm, -ex / norm
-                starts.append(f"{p.x + r * nx:.9g} {p.y + r * ny:.9g}")
-                ends.append(f"{q.x + r * nx:.9g} {q.y + r * ny:.9g}")
+                starts.append(f"{px + r * nx:.9g} {py + r * ny:.9g}")
+                ends.append(f"{qx + r * nx:.9g} {qy + r * ny:.9g}")
             cmds = [f"M {starts[0]}"]
             for end, start in zip(ends, starts[1:] + starts[:1]):
                 cmds += [f"L {end}", f"A {r:.9g} {r:.9g} 0 0 1 {start}"]
             shape = f'<path d="{" ".join(cmds)} Z"/>\n'
-    return header + shape + "</g>\n</svg>\n"
+    svg = header + shape + "</g>\n</svg>\n"
+    if "inf" in svg or "nan" in svg:  # a non-finite number; no tag or attribute name holds these
+        raise NumericError("result is not finite")
+    return svg
 
 
 def _polygonize(a: Body, n: int) -> Body:
@@ -114,8 +130,7 @@ def _cmd_body(args) -> int:
     if args.action == "stats":
         _emit_json(_body_stats(a), args.out)
     elif args.action == "vertices":
-        pts = bodies.vertices(_polygonize(a, args.polygonize_disc))
-        _emit_json({"vertices": [[p.x, p.y] for p in pts]}, args.out)
+        _emit_json({"vertices": bodies.vertices(_polygonize(a, args.polygonize_disc)).tolist()}, args.out)
     else:  # svg
         _emit(body_svg(a), args.out)
     return 0
@@ -198,25 +213,26 @@ def _cmd_kernel(args) -> int:
     if args.action == "eval" and args.nodes < 2:
         args.error(f"kernel eval needs --nodes >= 2, got {args.nodes}")
     if args.action == "gram":
-        g = rkhs.gram(np.linspace(0.0, PI, args.nodes))
+        nodes = np.linspace(0.0, PI, args.nodes)
+        g = rkhs.gram(nodes)
         if args.csv:
-            _emit(g.to_csv(), args.out)
+            _emit(_csv(np.vstack([nodes, g])), args.out)
         else:
-            _emit_json(g.to_dict(), args.out)
+            _emit_json({"nodes": nodes.tolist(), "entries": g.tolist()}, args.out)
     elif args.action == "eig":
         eigs = rkhs.grid_eigenvalues(args.nodes)
         _emit_json({"nodes": args.nodes, "min_eig": float(eigs[0]), "eigenvalues": list(map(float, eigs))}, args.out)
     elif args.action == "eval":
-        wf = rkhs.sample(_read_lifted(args.file), args.nodes)
+        nodes, values = rkhs.sample(_read_lifted(args.file), args.nodes)
         if args.csv:
-            _emit(wf.to_csv(), args.out)
+            _emit(_csv([nodes, values]), args.out)
         else:
-            _emit_json(wf.to_dict(), args.out)
+            _emit_json({"nodes": nodes.tolist(), "values": values.tolist()}, args.out)
     else:  # interp
         with open(args.file) as fh:
-            wf = rkhs.width_function_from_dict(json.loads(fh.read()))
-        coeffs = rkhs.interpolate(wf.nodes, wf.values, ridge=args.ridge)
-        _emit_json({"nodes": wf.nodes.tolist(), "coefficients": coeffs.tolist(), "ridge": args.ridge}, args.out)
+            nodes, values = rkhs.width_function_from_dict(json.loads(fh.read()))
+        coeffs = rkhs.interpolate(nodes, values, ridge=args.ridge)
+        _emit_json({"nodes": nodes.tolist(), "coefficients": coeffs.tolist(), "ridge": args.ridge}, args.out)
     return 0
 
 
@@ -231,9 +247,7 @@ def _cmd_rotation_fn(args) -> int:
     f_vals = inequalities._rotation_fn_F_many(u, v, phis)
     cands = inequalities.singular_candidates(u, v)
     if args.csv:
-        rows = ["phi,E,F"]
-        rows += [f"{repr(float(p))},{repr(float(e))},{repr(float(f))}" for p, e, f in zip(phis, e_vals, f_vals)]
-        _emit("\n".join(rows) + "\n", args.out)
+        _emit("phi,E,F\n" + _csv(np.column_stack([phis, e_vals, f_vals])), args.out)
     else:
         _emit_json(
             {
@@ -293,10 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
+    max_diangles, max_nodes = inequalities.MAX_DIANGLES, rkhs.MAX_NODES
+
+    def add_polygonize(p):
+        help_ = f"replace a disc by its circumscribed 2N-gon (0 keeps it), N at most {max_diangles}"
+        p.add_argument("--polygonize-disc", type=_int_in(0, max_diangles), default=0, metavar="N", help=help_)
+
     p_body = sub.add_parser("body", help="closed-form quantities of a body")
     p_body.add_argument("action", choices=["stats", "vertices", "svg"])
     p_body.add_argument("file")
-    p_body.add_argument("--polygonize-disc", type=int, default=0, metavar="N")
+    add_polygonize(p_body)
     add_out(p_body)
     p_body.set_defaults(func=_cmd_body)
 
@@ -312,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("inequality", choices=sorted(inequalities.CAMPAIGN_BODIES))
     p_check.add_argument("--trials", type=_int_in(0), default=1000)
     p_check.add_argument("--seed", type=_int_in(0), default=0)
-    max_diangles = inequalities.MAX_DIANGLES
     p_check.add_argument("--max-diangles", type=_int_in(1, max_diangles), default=10, help=f"at most {max_diangles}")
     p_check.add_argument("--tol", type=_finite_at_least(0.0), default=1e-9, help="finite, >= 0")
     add_out(p_check)
@@ -320,14 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="singular-position reduction trace (JSON lines)")
     p_reduce.add_argument("file", help="lifted vector JSON (the pair to reduce)")
-    p_reduce.add_argument("--polygonize-disc", type=int, default=0, metavar="N")
+    add_polygonize(p_reduce)
     add_out(p_reduce)
     p_reduce.set_defaults(func=_cmd_reduce)
 
     p_kernel = sub.add_parser("kernel", help="kernel matrices, eigenvalues, sampling, interpolation")
     p_kernel.add_argument("action", choices=["gram", "eig", "eval", "interp"])
     p_kernel.add_argument("file", nargs="?", help="lifted vector (eval) or width function (interp) JSON")
-    max_nodes = rkhs.MAX_NODES
     p_kernel.add_argument(
         "--nodes", type=_int_in(1, max_nodes), default=16, help=f"grid size, at most {max_nodes} (eval needs >= 2)"
     )
@@ -339,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rot = sub.add_parser("rotation-fn", help="rotation functions E and F over a grid")
     p_rot.add_argument("file", help="fixed body JSON")
     p_rot.add_argument("other", help="rotating zonogon JSON")
-    p_rot.add_argument("--nodes", type=_int_in(0), default=64)
+    p_rot.add_argument("--nodes", type=_int_in(0, max_nodes), default=64, help=f"grid size, at most {max_nodes}")
     p_rot.add_argument("--csv", action="store_true")
     add_out(p_rot)
     p_rot.set_defaults(func=_cmd_rotation_fn)

@@ -60,8 +60,12 @@ def lift(u: Body, v: Body) -> LiftedVector:
 
     merge_atoms on the signed atoms of [u, v], split by sign, so a
     remainder keeps its own side's angle; the smaller disc cancels too.
+    A group that chains past ANGLE_TOL can leave two kept atoms within it
+    of each other; they are merged again, so lifting a lift changes nothing.
     """
     angles, weights, _ = merge_atoms(*LiftedVector(u, v).atoms[:2])
+    while np.count_nonzero(np.diff(angles) <= bodies.ANGLE_TOL):
+        angles, weights, _ = merge_atoms(angles, weights)
     plus = weights > 0.0
     r = min(u.disc_radius, v.disc_radius)
     return LiftedVector(

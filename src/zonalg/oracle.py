@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import PI, Body, Point, body
+from .bodies import PI, Body, body
 from .errors import InvalidInputError, NumericError
-from .rkhs import GramMatrix
 
 JACOBI_EPS = 1e-12
 
@@ -32,14 +31,8 @@ class Polygon:
 
 
 def polygon(points) -> Polygon:
-    """Build a Polygon from an iterable of (x, y) or Point, validating shape."""
-    rows = []
-    for p in points:
-        if isinstance(p, Point):
-            rows.append((float(p.x), float(p.y)))
-        else:
-            x, y = p
-            rows.append((float(x), float(y)))
+    """Build a Polygon from an iterable of (x, y) rows, validating shape."""
+    rows = [(float(x), float(y)) for x, y in points]
     if not rows:
         raise InvalidInputError("polygon needs at least one vertex")
     arr = np.array(rows, dtype=float)
@@ -212,7 +205,6 @@ def jacobi_eigenvalues(matrix: np.ndarray, eps: float = JACOBI_EPS, max_sweeps: 
     )
 
 
-def psd_min_eig(g: GramMatrix | np.ndarray) -> float:
+def psd_min_eig(g: np.ndarray) -> float:
     """Smallest eigenvalue of a Gram matrix via round-robin Jacobi."""
-    mat = g.array if isinstance(g, GramMatrix) else np.asarray(g, dtype=float)
-    return float(jacobi_eigenvalues(mat)[0])
+    return float(jacobi_eigenvalues(g)[0])

@@ -9,10 +9,6 @@ K(phi, psi) = 2 - (pi/2) sin|phi - psi|.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import bodies
@@ -26,16 +22,19 @@ from .lifted import LiftedVector, lift
 MAX_NODES = 2048
 
 
-def _check_domain(phi: float) -> None:
-    if not (0.0 <= phi <= PI):
-        raise DomainError(f"angle {phi} outside [0, pi]; reduce mod pi first")
+def _check_domain(phi) -> None:
+    phi = np.asarray(phi, dtype=float)
+    outside = phi[~((phi >= 0.0) & (phi <= PI))]
+    if outside.size:
+        raise DomainError(f"angle {float(outside[0])} outside [0, pi]; reduce mod pi first")
 
 
-def kernel(phi: float, psi: float) -> float:
-    """K(phi, psi) = 2 - (pi/2) sin|phi - psi|."""
+def kernel(phi, psi):
+    """K(phi, psi) = 2 - (pi/2) sin|phi - psi|, broadcast over arrays; a float for two floats."""
     _check_domain(phi)
     _check_domain(psi)
-    return 2.0 - (PI / 2.0) * math.sin(abs(phi - psi))
+    k = 2.0 - (PI / 2.0) * np.sin(np.abs(np.subtract(phi, psi, dtype=float)))
+    return k if k.ndim else float(k)
 
 
 def kernel_vector(phi: float) -> LiftedVector:
@@ -50,37 +49,8 @@ def evaluate(x: LiftedVector, phi: float) -> float:
     return bodies.support(x.atoms, phi + PI / 2.0)
 
 
-def evaluate_many(x: LiftedVector, phis: np.ndarray) -> np.ndarray:
-    return support_many(x.atoms, np.asarray(phis, dtype=float) + PI / 2.0)
-
-
-@dataclass(frozen=True, eq=False)
-class WidthFunction:
-    """Samples of a width function; `nodes` and `values` are read-only float arrays."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozen_array(self.nodes))
-        object.__setattr__(self, "values", frozen_array(self.values))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WidthFunction):
-            return NotImplemented
-        return np.array_equal(self.nodes, other.nodes) and np.array_equal(self.values, other.values)
-
-    def to_dict(self) -> dict:
-        return {"nodes": self.nodes.tolist(), "values": self.values.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        return "".join(",".join(map(repr, row.tolist())) + "\n" for row in (self.nodes, self.values))
-
-
-def width_function_from_dict(obj: dict) -> WidthFunction:
+def width_function_from_dict(obj: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, values) of a width function's JSON, as read-only float arrays."""
     try:
         nodes = [json_number(n) for n in obj["nodes"]]
         values = [json_number(v) for v in obj["values"]]
@@ -90,11 +60,11 @@ def width_function_from_dict(obj: dict) -> WidthFunction:
         raise InvalidInputError(f"width function JSON malformed: {exc}") from exc
     if len(nodes) != len(values):
         raise InvalidInputError("nodes and values must have equal length")
-    return WidthFunction(nodes, values)
+    return frozen_array(nodes), frozen_array(values)
 
 
-def sample(x: LiftedVector, n: int) -> WidthFunction:
-    """Evaluate x on the uniform n-point grid over [0, pi].
+def sample(x: LiftedVector, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, values) of x on the uniform n-point grid over [0, pi], read-only.
 
     The end node pi is the circle point 0, so it takes the first sample. (A
     second evaluation at 0 may round differently: the matrix-vector product
@@ -103,50 +73,20 @@ def sample(x: LiftedVector, n: int) -> WidthFunction:
     if n < 2:
         raise InvalidInputError(f"need n >= 2 grid points, got {n}")
     nodes = np.linspace(0.0, PI, n)
-    values = evaluate_many(x, nodes[:-1])
-    return WidthFunction(nodes, np.append(values, values[0]))
+    values = support_many(x.atoms, nodes[:-1] + PI / 2.0)
+    return frozen_array(nodes), frozen_array(np.append(values, values[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Kernel matrix of a node set; `nodes` and `entries` are read-only float arrays."""
-
-    nodes: np.ndarray
-    entries: np.ndarray
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.entries
-
-    def to_csv(self) -> str:
-        # Format each distinct double once. The key is the bit pattern, so 0.0
-        # and -0.0 keep their own text.
-        distinct, index = np.unique(self.entries.view(np.int64), return_inverse=True)
-        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-        lines = [",".join(map(repr, self.nodes.tolist()))]
-        lines += [",".join(row) for row in text[index.reshape(self.entries.shape)].tolist()]
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {"nodes": self.nodes.tolist(), "entries": self.entries.tolist()}
-
-
-def gram(nodes) -> GramMatrix:
-    """Kernel matrix of a node set; positive semidefinite by construction."""
+def gram(nodes) -> np.ndarray:
+    """Kernel matrix of a node set, read-only; positive semidefinite by construction."""
     arr = np.array(nodes, dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError("gram nodes must be a flat sequence of angles")
-    outside = ~((arr >= 0.0) & (arr <= PI))
-    if outside.any():
-        _check_domain(float(arr[outside][0]))
-    if len(arr) >= 2:
-        srt = np.sort(arr)
-        if np.min(np.diff(srt)) <= 1e-12:
-            raise InvalidInputError("gram nodes must be distinct (separation > 1e-12)")
-    mat = 2.0 - (PI / 2.0) * np.sin(np.abs(arr[:, None] - arr[None, :]))
-    arr.setflags(write=False)
+    mat = kernel(arr[:, None], arr[None, :])
+    if len(arr) >= 2 and np.min(np.diff(np.sort(arr))) <= 1e-12:
+        raise InvalidInputError("gram nodes must be distinct (separation > 1e-12)")
     mat.setflags(write=False)
-    return GramMatrix(arr, mat)
+    return mat
 
 
 def grid_eigenvalues(n: int) -> np.ndarray:
@@ -166,7 +106,7 @@ def grid_eigenvalues(n: int) -> np.ndarray:
     if n == 1:
         return np.array([2.0])
     m = n - 1
-    mu = np.fft.rfft(2.0 - (PI / 2.0) * np.sin(np.arange(m) * (PI / m))).real
+    mu = np.fft.rfft(kernel(0.0, np.arange(m) * (PI / m))).real
     mult = np.full(len(mu), 2.0)
     mult[0] = 1.0
     if m % 2 == 0:
@@ -194,7 +134,7 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
     is phi -> sum_i a_i * kernel(nodes_i, phi)."""
     if ridge < 0:
         raise InvalidInputError(f"ridge must be >= 0, got {ridge}")
-    g = gram(nodes).array
+    g = gram(nodes)
     vals = np.asarray(list(values), dtype=float)
     if len(vals) != g.shape[0]:
         raise InvalidInputError("nodes and values must have equal length")
@@ -209,10 +149,5 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
 
 def interpolant(nodes, coeffs):
     """The fitted function phi -> sum_i a_i K(nodes_i, phi)."""
-    arr = np.asarray(list(nodes), dtype=float)
-    a = np.asarray(coeffs, dtype=float)
-
-    def fitted(phi: float) -> float:
-        return float(np.sum(a * (2.0 - (PI / 2.0) * np.sin(np.abs(arr - phi)))))
-
-    return fitted
+    arr, a = np.asarray(list(nodes), dtype=float), np.asarray(coeffs, dtype=float)
+    return lambda phi: float(np.sum(a * kernel(arr, phi)))

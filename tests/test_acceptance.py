@@ -95,7 +95,7 @@ def test_04_worked_values():
 
 def test_05_kernel_gram():
     nodes = np.linspace(0.0, PI, 64)
-    g = z.gram(nodes).array
+    g = z.gram(nodes)
     expected = 2.0 - (PI / 2) * np.sin(np.abs(nodes[:, None] - nodes[None, :]))
     entry_err = float(np.max(np.abs(g - expected)))
     diag_exact = bool(np.all(g.diagonal() == 2.0))

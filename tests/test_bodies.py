@@ -229,9 +229,28 @@ class TestAtomForm:
                 assert bodies.sup_norm(x) == bodies.sup_norm(a)
 
 
+def two_loop_vertices(a):
+    """Vertices by the walk written as two loops of scalar steps, the reference for z.vertices."""
+    if not len(a.angles):
+        return [[0.0, 0.0]]
+    ux = a.lengths * np.cos(a.angles)
+    uy = a.lengths * np.sin(a.angles)
+    x, y = -ux.sum(), -uy.sum()
+    pts = [[float(x), float(y)]]
+    for dx, dy in zip(2.0 * ux, 2.0 * uy):
+        x += dx
+        y += dy
+        pts.append([float(x), float(y)])
+    for dx, dy in zip(2.0 * ux[:-1], 2.0 * uy[:-1]):
+        x -= dx
+        y -= dy
+        pts.append([float(x), float(y)])
+    return pts
+
+
 class TestVertices:
     def test_square_vertices(self):
-        pts = {(round(p.x, 9), round(p.y, 9)) for p in z.vertices(S)}
+        pts = {(round(x, 9), round(y, 9)) for x, y in z.vertices(S).tolist()}
         assert pts == {(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)}
         # cross-check via support equality at 100 angles
         p = oracle.polygon(z.vertices(S))
@@ -239,11 +258,26 @@ class TestVertices:
             assert oracle.poly_support(p, theta) == pytest.approx(z.support(S, theta), abs=1e-12)
 
     def test_origin(self):
-        assert z.vertices(z.ORIGIN) == [z.Point(0.0, 0.0)]
+        v = z.vertices(z.ORIGIN)
+        assert v.tolist() == [[0.0, 0.0]]
+        assert not np.signbit(v).any()  # 0.0, not -0.0
 
     def test_segment(self):
-        pts = {(p.x, p.y) for p in z.vertices(SEG)}
+        pts = {(x, y) for x, y in z.vertices(SEG).tolist()}
         assert pts == {(1.0, 0.0), (-1.0, 0.0)}
+
+    def test_read_only_rows(self):
+        for a in (z.ORIGIN, S):
+            v = z.vertices(a)
+            assert v.dtype == float and v.shape == (max(1, 2 * len(a.angles)), 2)
+            with pytest.raises(ValueError):
+                v[0, 0] = 1.0
+
+    def test_matches_two_loop_walk_bit_for_bit(self, rng):
+        for k in list(range(13)) * 20:
+            a = z.body(np.column_stack([rng.uniform(0, PI, k), rng.exponential(1.0, k)]))
+            want = np.array(two_loop_vertices(a)).reshape(-1, 2)
+            assert z.vertices(a).tobytes() == want.tobytes(), k
 
     def test_disc_rejected(self):
         with pytest.raises(UnsupportedRepresentationError):

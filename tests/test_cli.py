@@ -167,6 +167,12 @@ class TestExitCodes:
             ["kernel", "eig", "--nodes", "2000000"],
             ["kernel", "eval", "lifted_sb.json", "--nodes", "2000000"],
             ["kernel", "eig", "--nodes", str(z.rkhs.MAX_NODES + 1)],
+            ["body", "vertices", "disc.json", "--polygonize-disc", "-1"],
+            ["body", "vertices", "disc.json", "--polygonize-disc", str(z.inequalities.MAX_DIANGLES + 1)],
+            ["body", "vertices", "square.json", "--polygonize-disc", "-1"],
+            ["reduce", "lifted_mixed.json", "--polygonize-disc", "-1"],
+            ["reduce", "lifted_mixed.json", "--polygonize-disc", str(z.inequalities.MAX_DIANGLES + 1)],
+            ["rotation-fn", "square.json", "segment.json", "--nodes", str(z.rkhs.MAX_NODES + 1)],
         ],
         ids=" ".join,
     )
@@ -235,6 +241,31 @@ class TestExitCodes:
     def test_max_nodes_at_bound_runs(self, capsys):
         assert run(["kernel", "eig", "--nodes", str(z.rkhs.MAX_NODES)]) == 0
         assert len(json.loads(capsys.readouterr().out)["eigenvalues"]) == z.rkhs.MAX_NODES
+
+    def test_polygonize_disc_at_bound_runs(self, capsys):
+        n = z.inequalities.MAX_DIANGLES
+        assert run(resolve(["body", "vertices", "disc.json", "--polygonize-disc", str(n)])) == 0
+        assert len(json.loads(capsys.readouterr().out)["vertices"]) == 2 * n
+
+    def test_rotation_fn_nodes_at_bound_runs(self, capsys):
+        n = z.rkhs.MAX_NODES
+        assert run(resolve(["rotation-fn", "square.json", "segment.json", "--nodes", str(n), "--csv"])) == 0
+        assert capsys.readouterr().out.count("\n") == n + 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rotation-fn", "big.json", "segment.json", "--nodes", "4", "--csv"], ["body", "svg", "big.json"]],
+        ids=" ".join,
+    )
+    def test_nonfinite_text_output_is_input_error(self, argv, tmp_path, capsys):
+        # Support and vertices overflow to inf; CSV and SVG refuse them as JSON does.
+        huge = {"diangles": [{"angle": 0.0, "d": 1e308}, {"angle": 1.0, "d": 1e308}], "disc": 0.0}
+        (tmp_path / "big.json").write_text(json.dumps(huge))
+        argv = [str(tmp_path / a) if a == "big.json" else a for a in argv]
+        assert run(resolve(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: result is not finite\n"
 
     @pytest.mark.parametrize("inequality", ["iso", "bm", "bmgen", "schwarz"])
     def test_empty_campaign_min_slack_null(self, inequality, capsys):

@@ -32,6 +32,32 @@ class TestLift:
             (PI / 2, 1.0),
         ]
 
+    @staticmethod
+    def assert_idempotent(x):
+        assert z.lift(x.plus, x.minus) == x
+        assert z.add(x, ZERO) == x
+        assert not np.any(np.diff(np.sort(x.atoms[0])) <= ANGLE_TOL)
+
+    def test_chained_shared_directions_idempotent(self):
+        # u's two atoms are 1.1e-12 apart, v's lies between them: the first
+        # merge keeps +1 and -1 only 6e-13 apart, and they cancel.
+        u = z.body([(1 - 5e-13, 1.0), (1 + 6e-13, 1.0)])
+        x = z.lift(u, z.body([(1.0, 2.0)]))
+        self.assert_idempotent(x)
+        assert x.is_zero
+
+    def test_clustered_angles_idempotent(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            centers = rng.uniform(0, PI, 2)
+
+            def clustered():
+                k = int(rng.integers(1, 5))
+                angles = rng.choice(centers, k) + rng.uniform(-3, 3, k) * ANGLE_TOL
+                return z.body(np.column_stack([angles, rng.choice([0.5, 1.0, 2.0], k)]))
+
+            self.assert_idempotent(z.lift(clustered(), clustered()))
+
     def test_canonical_invariants(self, rng):
         for _ in range(100):
             x = random_lifted(rng)

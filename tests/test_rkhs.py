@@ -1,16 +1,19 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zonalg as z
-from zonalg import oracle, rkhs
+from zonalg import lifted, oracle, rkhs
 from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
+from zonalg.cli import _csv, run
 from zonalg.errors import DomainError, InvalidInputError, NumericError
 
 from conftest import random_lifted
 
+DATA = Path(__file__).parent / "data"
 S = UNIT_SQUARE
 B = UNIT_DISC
 
@@ -109,15 +112,15 @@ class TestReproducingProperty:
 class TestGram:
     def test_two_nodes(self):
         g = z.gram([0.0, PI / 2])
-        assert g.array == pytest.approx(np.array([[2, 2 - PI / 2], [2 - PI / 2, 2]]), abs=0)
+        assert g == pytest.approx(np.array([[2, 2 - PI / 2], [2 - PI / 2, 2]]), abs=0)
 
     def test_diagonal_exact(self):
         g = z.gram(np.linspace(0, PI, 32))
-        assert all(g.entries[i][i] == 2.0 for i in range(32))
+        assert all(g[i][i] == 2.0 for i in range(32))
 
     def test_entrywise_from_inner(self, rng):
         nodes = np.sort(rng.uniform(0, PI, 6))
-        g = z.gram(nodes).array
+        g = z.gram(nodes)
         for i, p in enumerate(nodes):
             for j, q in enumerate(nodes):
                 assert g[i, j] == pytest.approx(
@@ -135,13 +138,19 @@ class TestGram:
         with pytest.raises(DomainError):
             z.gram([0.1, 4.0])
 
+    def test_read_only_array(self):
+        g = z.gram(np.linspace(0, PI, 5))
+        assert isinstance(g, np.ndarray) and g.dtype == float and g.shape == (5, 5)
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
 
 class TestJacobi:
     def test_one_by_one(self):
         assert oracle.jacobi_eigenvalues(np.array([[2.0]])) == pytest.approx([2.0])
 
     def test_two_node_gram(self):
-        eigs = oracle.jacobi_eigenvalues(z.gram([0.0, PI / 2]).array)
+        eigs = oracle.jacobi_eigenvalues(z.gram([0.0, PI / 2]))
         assert eigs == pytest.approx([PI / 2, 4 - PI / 2], abs=1e-12)
 
     def test_matches_numpy_oracle(self, rng):
@@ -156,7 +165,7 @@ class TestJacobi:
     def test_uniform_gram_oracle(self):
         # max_sweeps=20 also shows that no size is near the default cap of 100
         for n in range(8, 129, 8):
-            g = z.gram(np.linspace(0, PI, n)).array
+            g = z.gram(np.linspace(0, PI, n))
             ours = oracle.jacobi_eigenvalues(g, max_sweeps=20)
             ref = np.linalg.eigvalsh(g)
             assert np.max(np.abs(ours - ref)) <= 1e-12 * ref[-1], n
@@ -183,7 +192,7 @@ class TestJacobi:
             assert np.array_equal(current, layout)
 
     def test_gram_oracle(self, rng):
-        g = z.gram(np.sort(rng.uniform(0, PI, 12))).array
+        g = z.gram(np.sort(rng.uniform(0, PI, 12)))
         assert oracle.jacobi_eigenvalues(g) == pytest.approx(np.linalg.eigvalsh(g), abs=1e-9)
 
     def test_asymmetric_rejected(self):
@@ -202,14 +211,14 @@ class TestGridEigenvalues:
     def test_matches_eigvalsh(self):
         for n in GRID_SIZES:
             ours = z.grid_eigenvalues(n)
-            ref = np.linalg.eigvalsh(z.gram(np.linspace(0, PI, n)).array)
+            ref = np.linalg.eigvalsh(z.gram(np.linspace(0, PI, n)))
             assert np.max(np.abs(ours - ref)) <= 1e-14 * ref[-1], n
 
     def test_matches_mpmath(self):
         # 50-digit eigenvalues of the float64 Gram matrix itself
         mpmath = pytest.importorskip("mpmath")
         for n in (8, 16, 33):
-            g = z.gram(np.linspace(0, PI, n)).array
+            g = z.gram(np.linspace(0, PI, n))
             with mpmath.workdps(50):
                 ref = np.sort([float(e) for e in mpmath.eigsy(mpmath.matrix(g.tolist()), eigvals_only=True)])
             assert np.max(np.abs(z.grid_eigenvalues(n) - ref)) <= 1e-15 * ref[-1], n
@@ -275,18 +284,18 @@ class TestInterpolate:
 
 class TestSample:
     def test_disc(self):
-        wf = z.sample(z.lift(B, z.ORIGIN), 5)
-        assert wf.values == pytest.approx([1.0] * 5, abs=0)
+        _, values = z.sample(z.lift(B, z.ORIGIN), 5)
+        assert values == pytest.approx([1.0] * 5, abs=0)
 
     def test_zero_vector(self):
-        wf = z.sample(z.lift(S, S), 4)
-        assert wf.values == pytest.approx([0.0] * 4, abs=0)
+        _, values = z.sample(z.lift(S, S), 4)
+        assert values == pytest.approx([0.0] * 4, abs=0)
 
     def test_sup_matches_norm_c(self, rng):
         for _ in range(20):
             x = random_lifted(rng, 6)
-            wf = z.sample(x, 4096)
-            sup = max(abs(v) for v in wf.values)
+            _, values = z.sample(x, 4096)
+            sup = max(abs(v) for v in values)
             assert sup <= z.norm_c(x) + 1e-12
             # first-order error at kinks: slope is bounded by the total
             # half-length mass, grid spacing is pi/4095
@@ -294,19 +303,17 @@ class TestSample:
             assert sup >= z.norm_c(x) - (PI / 4095) * (slope + 1.0)
 
     def test_read_only_arrays(self):
-        wf = z.sample(z.lift(S, B), 5)
-        for arr in (wf.nodes, wf.values):
-            assert isinstance(arr, np.ndarray) and arr.dtype == float
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        # the constructor copies its input
-        nodes = np.array([0.0, 1.0])
-        assert rkhs.WidthFunction(nodes, [2.0, 3.0]).nodes is not nodes
+        nodes = [0.0, 1.0]
+        for pair in (z.sample(z.lift(S, B), 5), rkhs.width_function_from_dict({"nodes": nodes, "values": [2.0, 3.0]})):
+            for arr in pair:
+                assert isinstance(arr, np.ndarray) and arr.dtype == float
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
 
     def test_end_sample_repeats_first(self, rng):
         # phi = pi is the circle point phi = 0
         for _ in range(50):
-            values = z.sample(random_lifted(rng, 6), int(rng.integers(2, 300))).values
+            _, values = z.sample(random_lifted(rng, 6), int(rng.integers(2, 300)))
             assert values[0] == values[-1]
 
     def test_too_few_points(self):
@@ -315,34 +322,39 @@ class TestSample:
 
 
 class TestSerialization:
-    def test_width_function_json_roundtrip(self):
-        wf = z.sample(z.lift(S, B), 8)
-        again = rkhs.width_function_from_dict(json.loads(wf.to_json()))
-        assert again == wf
+    def test_width_function_json_roundtrip(self, capsys):
+        # kernel eval's JSON reads back as the samples it wrote
+        path = str(DATA / "lifted_sb.json")
+        assert run(["kernel", "eval", path, "--nodes", "8"]) == 0
+        nodes, values = rkhs.width_function_from_dict(json.loads(capsys.readouterr().out))
+        want = z.sample(lifted.lifted_from_json((DATA / "lifted_sb.json").read_text()), 8)
+        assert nodes.tobytes() == want[0].tobytes() and values.tobytes() == want[1].tobytes()
 
     def test_width_function_csv(self):
-        wf = rkhs.WidthFunction((0.0, 1.0), (2.0, 3.0))
-        lines = wf.to_csv().strip().split("\n")
-        assert lines[0] == "0.0,1.0"
-        assert lines[1] == "2.0,3.0"
+        assert _csv([(0.0, 1.0), (2.0, 3.0)]) == "0.0,1.0\n2.0,3.0\n"
 
-    def test_gram_csv_and_dict(self):
-        g = z.gram([0.0, PI / 2])
-        lines = g.to_csv().strip().split("\n")
+    def test_gram_csv_and_dict(self, capsys):
+        assert run(["kernel", "gram", "--nodes", "2", "--csv"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 3
-        d = g.to_dict()
-        assert d["nodes"] == [0.0, PI / 2]
+        assert run(["kernel", "gram", "--nodes", "2"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["nodes"] == [0.0, PI]
         assert len(d["entries"]) == 2
 
     def test_gram_csv_matches_per_entry_repr(self, rng):
         for nodes in (np.linspace(0, PI, 64), np.sort(rng.uniform(0, PI, 50))):
-            g = z.gram(nodes)
-            rows = [nodes.tolist()] + g.entries.tolist()
-            assert g.to_csv() == "".join(",".join(repr(v) for v in row) + "\n" for row in rows)
+            rows = np.vstack([nodes, z.gram(nodes)])
+            assert _csv(rows) == "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
 
     def test_gram_csv_keeps_signed_zero(self):
-        g = rkhs.GramMatrix(np.array([0.0, 1.0]), np.array([[0.0, -0.0], [-0.0, 0.0]]))
-        assert g.to_csv() == "0.0,1.0\n0.0,-0.0\n-0.0,0.0\n"
+        assert _csv([[0.0, -0.0]]) == "0.0,-0.0\n"
+        assert _csv([[0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]]) == "0.0,1.0\n0.0,-0.0\n-0.0,0.0\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_csv_rejects_nonfinite(self, bad):
+        with pytest.raises(NumericError):
+            _csv([[0.0, bad]])
 
     def test_width_function_bad_dict(self):
         with pytest.raises(InvalidInputError):
