@@ -28,14 +28,8 @@ from .bodies import (
     width,
 )
 from .inequalities import (
-    CheckReport,
     ReductionStep,
     ReductionTrace,
-    check_bm_classical,
-    check_bm_generalized,
-    check_isoperimetric,
-    check_schwarz_deficit,
-    equality_case_check,
     hyperbolic_witness,
     reduce_pair,
     rotation_fn_E,
@@ -48,10 +42,8 @@ from .lifted import (
     bilinear_M,
     deficit,
     eps_form,
-    equivalent,
     from_body,
     inner,
-    inner_raw,
     lift,
     measure_ext,
     neg,

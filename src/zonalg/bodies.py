@@ -298,12 +298,6 @@ def hausdorff(a: Body, b: Body) -> float:
     return sup_norm(LiftedVector(a, b))
 
 
-def bodies_close(a: Body, b: Body, tol: float = 1e-10) -> bool:
-    """Equality as sets, via support agreement scaled by magnitude."""
-    scale_ = 1.0 + perimeter(a) + perimeter(b)
-    return hausdorff(a, b) <= tol * scale_
-
-
 # --- JSON wire format ---------------------------------------------------
 
 

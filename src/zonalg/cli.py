@@ -243,8 +243,8 @@ def _cmd_rotation_fn(args) -> int:
     u, v = _read_body(args.file), _read_body(args.other)
     phi_star, f_min = inequalities.singular_min(u, v)  # rejects discs and empty bodies
     phis = np.linspace(0.0, PI, args.nodes, endpoint=False)
-    e_vals = [inequalities.rotation_fn_E(u, v, p) for p in phis]
-    f_vals = inequalities._rotation_fn_F_many(u, v, phis)
+    e_vals = inequalities.rotation_fn_E(u, v, phis)
+    f_vals = inequalities.rotation_fn_F(u, v, phis)
     cands = inequalities.singular_candidates(u, v)
     if args.csv:
         _emit("phi,E,F\n" + _csv(np.column_stack([phis, e_vals, f_vals])), args.out)

@@ -1,7 +1,7 @@
-"""Inequality checkers and the singular-position reduction pipeline.
+"""The inequality campaign and the singular-position reduction pipeline.
 
 The generalized isoperimetric and Brunn-Minkowski inequalities are
-theorems; the checkers exist to fuzz the implementation, and the reduction
+theorems; the campaign exists to fuzz the implementation, and the reduction
 pipeline replays the constructive proof: rotate one zonogon into singular
 position, cancel the parallel pair, repeat until one side is trivial.
 """
@@ -16,69 +16,12 @@ import numpy as np
 from . import bodies, generators, lifted
 from .bodies import ANGLE_TOL, PI, Body, atom_form, atoms_of, fold, group_starts, merge_atoms, perimeter, support_many
 from .errors import DegenerateDirectionError, DomainError, UnsupportedRepresentationError
-from .lifted import LiftedVector, bilinear_M, deficit, eps_form, measure_ext, perimeter_ext
+from .lifted import LiftedVector, perimeter_ext
 
 TOL_ABS = 1e-9
-TOL_REL = 1e-9
 # Relative half-length difference below which a reduction step cancels a
 # shared direction completely.
 NEAR_CANCEL = 1e-12
-
-
-def scaled_tol(lhs: float, rhs: float, tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> float:
-    return tol_abs + tol_rel * (1.0 + abs(lhs) + abs(rhs))
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    holds: bool
-    lhs: float
-    rhs: float
-    slack: float
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
-def _report(lhs: float, rhs: float, tol_abs: float, tol_rel: float) -> CheckReport:
-    tol = scaled_tol(lhs, rhs, tol_abs, tol_rel)
-    slack = lhs - rhs
-    return CheckReport(slack >= -tol, lhs, rhs, slack, tol)
-
-
-def check_isoperimetric(x: LiftedVector, tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> CheckReport:
-    """o(x)^2 >= 4*pi*m(x); a failure beyond tolerance signals a bug."""
-    o = perimeter_ext(x)
-    return _report(o * o, 4.0 * PI * measure_ext(x), tol_abs, tol_rel)
-
-
-def check_bm_classical(u: Body, v: Body, tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> CheckReport:
-    """sqrt(area(u+v)) >= sqrt(area(u)) + sqrt(area(v))."""
-    lhs = math.sqrt(bodies.area(bodies.minkowski_add(u, v)))
-    rhs = math.sqrt(bodies.area(u)) + math.sqrt(bodies.area(v))
-    return _report(lhs, rhs, tol_abs, tol_rel)
-
-
-def check_bm_generalized(
-    x: LiftedVector, y: LiftedVector, tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL
-) -> CheckReport:
-    """M(x,y)^2 >= m(x)*m(y), for vectors of positive measure."""
-    mx, my = measure_ext(x), measure_ext(y)
-    if mx <= 0:
-        raise DomainError(f"first argument has nonpositive measure {mx}")
-    if my <= 0:
-        raise DomainError(f"second argument has nonpositive measure {my}")
-    b = bilinear_M(x, y)
-    return _report(b * b, mx * my, tol_abs, tol_rel)
-
-
-def check_schwarz_deficit(
-    x: LiftedVector, y: LiftedVector, tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL
-) -> CheckReport:
-    """eps(x,y) <= sqrt(D(x))*sqrt(D(y))."""
-    lhs = math.sqrt(max(deficit(x), 0.0)) * math.sqrt(max(deficit(y), 0.0))
-    return _report(lhs, eps_form(x, y), tol_abs, tol_rel)
 
 
 # --- batched campaigns ----------------------------------------------------
@@ -148,10 +91,12 @@ def campaign_values(kind: str, seed: int, trials: range, max_diangles: int = 10)
 def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: float = TOL_ABS) -> dict:
     """Fuzz one inequality over trials 0 .. trials-1 of seed.
 
-    Returns the violation count and the smallest slack (None when nothing
-    was checked), plus the number of checked trials for bmgen.  iso counts
-    deficit < -tol*(1 + o^2); the others count a failed check_* report.  A
-    tolerance so large that its bound overflows counts nothing.
+    Returns the violation count and the smallest slack lhs - rhs (None
+    when nothing was checked), plus the number of checked trials for bmgen.
+    iso (lhs = o^2) counts slack < -tol*(1 + lhs); bm, bmgen and schwarz
+    count every slack that is not >= -(tol + tol*(1 + |lhs| + |rhs|)), a NaN
+    slack included.  A tolerance so large that its bound overflows counts
+    nothing.
     """
     step = max(1, DRAW_ENTRIES // (CAMPAIGN_BODIES[kind] * (2 * max_diangles + 3)))
     violations = checked = 0
@@ -163,7 +108,7 @@ def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: flo
         if kind == "iso":
             violated = slack < -tol * (1.0 + lhs)
         else:
-            violated = ~(slack >= -scaled_tol(lhs, rhs, tol, tol))
+            violated = ~(slack >= -(tol + tol * (1.0 + np.abs(lhs) + np.abs(rhs))))
         violations += int(np.count_nonzero(violated))
         checked += len(slack)
         if len(slack):
@@ -174,29 +119,27 @@ def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: flo
     return report
 
 
-def _require_zonogon(v: Body, what: str) -> None:
-    if not v.is_zonogon:
+def _require_zonogon(x, what: str) -> None:
+    if atoms_of(x)[2]:
         raise UnsupportedRepresentationError(f"{what} requires a pure zonogon; polygonize the disc first")
 
 
-def rotation_fn_E(u: Body, v: Body, phi: float) -> float:
-    """Area of u + rotate(v, phi)."""
-    _require_zonogon(v, "rotation_fn_E")
-    return bodies.area(bodies.minkowski_add(u, bodies.rotate(v, phi)))
+def rotation_fn_F(u, v, phis) -> np.ndarray:
+    """F at each phi: the mixed area of u and v rotated by phi, which is the
+    sum over v's diangles of width(u, angle + phi) * half_length.
 
-
-def rotation_fn_F(u: Body, v: Body, phi: float) -> float:
-    """Sum over diangles of v of width(u, dir+phi) * half_length."""
+    u and v are Bodies or atom triples; v must be a zonogon.
+    """
     _require_zonogon(v, "rotation_fn_F")
-    return float(_rotation_fn_F_many(u, v, np.array([phi]))[0])
-
-
-def _rotation_fn_F_many(u, v, phis: np.ndarray) -> np.ndarray:
-    """F at each phi, for u and v given as Bodies or atom triples."""
     v_angles, v_weights, _ = atoms_of(v)
-    angles = v_angles[None, :] + phis[:, None] + PI / 2
+    angles = v_angles[None, :] + np.asarray(phis, dtype=float)[:, None] + PI / 2
     widths = 2.0 * support_many(u, angles.ravel()).reshape(angles.shape)
     return widths @ v_weights
+
+
+def rotation_fn_E(u: Body, v: Body, phis) -> np.ndarray:
+    """E at each phi: the area of u + rotate(v, phi), as area(u) + area(v) + 2 F."""
+    return bodies.area(u) + bodies.area(v) + 2.0 * rotation_fn_F(u, v, phis)
 
 
 def singular_candidates(u, v) -> np.ndarray:
@@ -207,25 +150,21 @@ def singular_candidates(u, v) -> np.ndarray:
     return cands[group_starts(cands)]
 
 
-def _singular_min(u, v) -> tuple[float, float]:
-    """singular_min without its checks; u and v may be atom triples."""
-    cands = singular_candidates(u, v)
-    values = _rotation_fn_F_many(u, v, cands)
-    best = int(np.argmin(values))
-    return float(cands[best]), float(values[best])
-
-
-def singular_min(u: Body, v: Body) -> tuple[float, float]:
+def singular_min(u, v) -> tuple[float, float]:
     """Minimize F over the finite candidate set; ties go to the smallest angle.
 
-    F is interval-wise concave with breakpoints exactly at the singular
+    u and v are Bodies or atom triples, both zonogons with some diangle.  F
+    is interval-wise concave with breakpoints exactly at the singular
     candidates, so the global minimum over [0, pi) lies in the set.
     """
     _require_zonogon(u, "singular_min")
     _require_zonogon(v, "singular_min")
-    if u.is_origin or v.is_origin:
+    if not (len(atoms_of(u)[0]) and len(atoms_of(v)[0])):
         raise DomainError("singular_min needs two nonempty zonogons")
-    return _singular_min(u, v)
+    cands = singular_candidates(u, v)
+    values = rotation_fn_F(u, v, cands)
+    best = int(np.argmin(values))
+    return float(cands[best]), float(values[best])
 
 
 @dataclass(frozen=True)
@@ -265,7 +204,7 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     k = len(u.angles)  # atoms [:k] are u's, [k:] are v's with weight -d
     steps: list[ReductionStep] = []
     while 0 < k < len(angles):
-        phi_star, f_min = _singular_min((angles[:k], weights[:k], 0.0), (angles[k:], -weights[k:], 0.0))
+        phi_star, f_min = singular_min((angles[:k], weights[:k], 0.0), (angles[k:], -weights[k:], 0.0))
         # Rotate: v's atoms turned by phi_star and merged, as canonicalize merges them.
         turned, turned_weights, _ = merge_atoms(fold(angles[k:] + phi_star), weights[k:])
         angles, weights, cancelled = merge_atoms(
@@ -291,16 +230,3 @@ def hyperbolic_witness(u: LiftedVector, v: LiftedVector) -> LiftedVector:
         raise DegenerateDirectionError("second vector has zero perimeter")
     t = -perimeter_ext(u) / ov
     return lifted.add(u, lifted.scale_real(v, t))
-
-
-def equality_case_check(x: LiftedVector, tol: float = 1e-10) -> bool:
-    """Whether x attains isoperimetric equality, i.e. x is a disc multiple."""
-    scale = 1.0 + abs(perimeter_ext(x))
-    return deficit(x) <= tol * scale * scale
-
-
-def is_disc_multiple(x: LiftedVector, tol: float = 1e-10) -> bool:
-    """Structural counterpart of equality_case_check on the canonical form."""
-    scale = 1.0 + abs(perimeter_ext(x))
-    stray = float(x.plus.lengths.sum() + x.minus.lengths.sum())
-    return stray <= tol * scale

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bodies
-from .bodies import PI, UNIT_DISC, Body, atom_form, atoms_of, hausdorff, merge_atoms, minkowski_add, sup_norm
+from .bodies import PI, UNIT_DISC, Body, atom_form, atoms_of, merge_atoms, minkowski_add, sup_norm
 from .errors import InvalidInputError
 
 FOUR_PI_SQ = 4.0 * PI * PI
@@ -81,14 +81,6 @@ ZERO = LiftedVector(Body(), Body())
 DISC_VECTOR = LiftedVector(UNIT_DISC, Body())
 
 
-def equivalent(p1: tuple[Body, Body], p2: tuple[Body, Body], tol: float = 1e-12) -> bool:
-    """Whether (u1, v1) and (u2, v2) represent the same vector: u1+v2 = v1+u2."""
-    left = minkowski_add(p1[0], p2[1])
-    right = minkowski_add(p1[1], p2[0])
-    scale = 1.0 + bodies.perimeter(left) + bodies.perimeter(right)
-    return hausdorff(left, right) <= tol * scale
-
-
 def add(x: LiftedVector, y: LiftedVector) -> LiftedVector:
     return lift(minkowski_add(x.plus, y.plus), minkowski_add(x.minus, y.minus))
 
@@ -135,11 +127,6 @@ def inner(x: LiftedVector, y: LiftedVector) -> float:
     ) / FOUR_PI_SQ
 
 
-def inner_raw(x: LiftedVector, y: LiftedVector) -> float:
-    """Unnormalized variant: 2*o(x)*o(y) - 4*pi*M(x, y)."""
-    return FOUR_PI_SQ * inner(x, y)
-
-
 def norm(x: LiftedVector) -> float:
     return math.sqrt(max(inner(x, x), 0.0))
 
@@ -156,12 +143,6 @@ def norm_bp(x: LiftedVector) -> float:
     W = origin since support functions are nonnegative and additive.
     """
     return sup_norm(x.plus) + sup_norm(x.minus)
-
-
-def vectors_close(x: LiftedVector, y: LiftedVector, tol: float = 1e-10) -> bool:
-    d = add(x, neg(y))
-    scale = 1.0 + abs(perimeter_ext(x)) + abs(perimeter_ext(y))
-    return norm_c(d) <= tol * scale
 
 
 # --- JSON wire format ---------------------------------------------------

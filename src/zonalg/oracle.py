@@ -203,8 +203,3 @@ def jacobi_eigenvalues(matrix: np.ndarray, eps: float = JACOBI_EPS, max_sweeps: 
     raise NumericError(
         f"Jacobi did not converge in {max_sweeps} sweeps: off-diagonal norm {off:.3e} > {target:.3e}"
     )
-
-
-def psd_min_eig(g: np.ndarray) -> float:
-    """Smallest eigenvalue of a Gram matrix via round-robin Jacobi."""
-    return float(jacobi_eigenvalues(g)[0])

@@ -16,9 +16,9 @@ from .bodies import PI, frozen_array, json_number, segment, support_many
 from .errors import DomainError, InvalidInputError, NumericError
 from .lifted import LiftedVector, lift
 
-# Largest grid the kernel commands take; `kernel gram` at this size peaks
-# near 0.35 GB, and it caps the bisection of `grid_eigenvalues` at
-# (MAX_NODES / 2)**2 entries per step.
+# Most nodes the kernel commands take, on a grid or from a file; `kernel
+# gram` at this size peaks near 0.35 GB, and it caps the bisection of
+# `grid_eigenvalues` at (MAX_NODES / 2)**2 entries per step.
 MAX_NODES = 2048
 
 
@@ -78,10 +78,12 @@ def sample(x: LiftedVector, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gram(nodes) -> np.ndarray:
-    """Kernel matrix of a node set, read-only; positive semidefinite by construction."""
+    """Kernel matrix of at most MAX_NODES nodes, read-only; positive semidefinite by construction."""
     arr = np.array(nodes, dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError("gram nodes must be a flat sequence of angles")
+    if len(arr) > MAX_NODES:
+        raise InvalidInputError(f"at most {MAX_NODES} kernel nodes, got {len(arr)}")
     mat = kernel(arr[:, None], arr[None, :])
     if len(arr) >= 2 and np.min(np.diff(np.sort(arr))) <= 1e-12:
         raise InvalidInputError("gram nodes must be distinct (separation > 1e-12)")
@@ -145,9 +147,3 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
         raise NumericError("kernel system is singular; retry with ridge > 0") from exc
     y = np.linalg.solve(chol, vals)
     return np.linalg.solve(chol.T, y)
-
-
-def interpolant(nodes, coeffs):
-    """The fitted function phi -> sum_i a_i K(nodes_i, phi)."""
-    arr, a = np.asarray(list(nodes), dtype=float), np.asarray(coeffs, dtype=float)
-    return lambda phi: float(np.sum(a * kernel(arr, phi)))

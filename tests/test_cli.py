@@ -252,6 +252,36 @@ class TestExitCodes:
         assert run(resolve(["rotation-fn", "square.json", "segment.json", "--nodes", str(n), "--csv"])) == 0
         assert capsys.readouterr().out.count("\n") == n + 1
 
+    def test_rotation_fn_builds_only_its_inputs(self, monkeypatch, capsys):
+        # E and F are evaluated on atom arrays at every node: no Body per node,
+        # and the one singular_min search gives phi_star.
+        built, searches = [], []
+        post_init, search = z.bodies.Body.__post_init__, z.inequalities.singular_min
+
+        def count_body(self):
+            built.append(self)
+            post_init(self)
+
+        def count_search(u, v):
+            searches.append((u, v))
+            return search(u, v)
+
+        monkeypatch.setattr(z.bodies.Body, "__post_init__", count_body)
+        monkeypatch.setattr(z.inequalities, "singular_min", count_search)
+        n = z.rkhs.MAX_NODES
+        assert run(resolve(["rotation-fn", "square.json", "segment.json", "--nodes", str(n), "--csv"])) == 0
+        assert capsys.readouterr().out.count("\n") == n + 1
+        assert len(built) == 2 and len(searches) == 1
+
+    def test_interp_node_count_is_bounded(self, tmp_path, capsys):
+        n = z.rkhs.MAX_NODES + 1
+        nodes = [PI * i / n for i in range(n)]
+        (tmp_path / "wf.json").write_text(json.dumps({"nodes": nodes, "values": [1.0] * n}))
+        assert run(["kernel", "interp", str(tmp_path / "wf.json"), "--ridge", "1e-10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: at most {z.rkhs.MAX_NODES} kernel nodes, got {n}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["rotation-fn", "big.json", "segment.json", "--nodes", "4", "--csv"], ["body", "svg", "big.json"]],

@@ -19,107 +19,120 @@ S = UNIT_SQUARE
 B = UNIT_DISC
 
 
+def trial_values(kind, *trial_bodies):
+    """The campaign's (lhs, rhs, checked) for one trial that drew the given bodies."""
+    width = max(1, *(len(b.angles) for b in trial_bodies))
+    angles, lengths = np.zeros((2, 1, len(trial_bodies), width))
+    for i, b in enumerate(trial_bodies):
+        angles[0, i, : len(b.angles)], lengths[0, i, : len(b.angles)] = b.angles, b.lengths
+    radii = np.array([[b.disc_radius for b in trial_bodies]])
+    lhs, rhs, checked = inequalities._values(kind, (angles, lengths, radii))
+    return float(lhs[0]), float(rhs[0]), bool(checked[0])
+
+
 class TestCheckReports:
+    # Worked values of the campaign's (lhs, rhs), the pair `check` reports on.
     def test_iso_square_minus_disc(self):
-        rep = z.check_isoperimetric(z.lift(S, B))
-        assert rep.holds
-        assert rep.lhs == pytest.approx((4 - 2 * PI) ** 2, rel=1e-14)
-        assert rep.rhs == pytest.approx(4 * PI * (PI - 3), rel=1e-13)
-        assert rep.slack == pytest.approx(rep.lhs - rep.rhs, abs=0)
+        lhs, rhs, _ = trial_values("iso", S, B)
+        assert lhs == pytest.approx((4 - 2 * PI) ** 2, rel=1e-14)
+        assert rhs == pytest.approx(4 * PI * (PI - 3), rel=1e-13)
+        assert lhs > rhs
 
     def test_iso_disc_equality(self):
-        rep = z.check_isoperimetric(DISC_VECTOR)
-        assert rep.holds
-        assert rep.slack == 0.0
+        lhs, rhs, _ = trial_values("iso", B, z.ORIGIN)
+        assert lhs - rhs == 0.0
 
     def test_bm_classical_square_disc(self):
-        rep = z.check_bm_classical(S, B)
-        assert rep.holds
+        lhs, rhs, _ = trial_values("bm", S, B)
         expected = math.sqrt(5 + PI) - (1 + math.sqrt(PI))
-        assert rep.slack == pytest.approx(expected, rel=1e-12)
-        assert rep.slack > 0.05
+        assert lhs - rhs == pytest.approx(expected, rel=1e-12)
+        assert lhs - rhs > 0.05
 
     def test_bm_generalized_worked(self):
-        x = z.lift(z.disc(2.0), S)
-        rep = z.check_bm_generalized(x, DISC_VECTOR)
-        assert rep.holds
-        assert rep.lhs == pytest.approx((2 * PI - 2) ** 2, rel=1e-13)
-        assert rep.rhs == pytest.approx((4 * PI - 7) * PI, rel=1e-13)
+        lhs, rhs, checked = trial_values("bmgen", z.disc(2.0), S, B, z.ORIGIN)
+        assert checked
+        assert lhs == pytest.approx((2 * PI - 2) ** 2, rel=1e-13)
+        assert rhs == pytest.approx((4 * PI - 7) * PI, rel=1e-13)
 
     def test_bm_generalized_domain_errors(self):
-        good = DISC_VECTOR
-        bad = z.from_body(z.segment(0.0, 1.0))  # a segment has measure zero
-        with pytest.raises(DomainError, match="first"):
-            z.check_bm_generalized(bad, good)
-        with pytest.raises(DomainError, match="second"):
-            z.check_bm_generalized(good, bad)
+        # A segment has measure zero: bmgen leaves the trial unchecked, either side.
+        seg = z.segment(0.0, 1.0)
+        assert not trial_values("bmgen", seg, z.ORIGIN, B, z.ORIGIN)[2]
+        assert not trial_values("bmgen", B, z.ORIGIN, seg, z.ORIGIN)[2]
 
     def test_schwarz_disc_annihilated(self):
         x = random_lifted(np.random.default_rng(7))
-        rep = z.check_schwarz_deficit(x, DISC_VECTOR)
-        assert rep.holds
-        assert abs(rep.rhs) <= 1e-10 * (1 + abs(rep.lhs))
+        lhs, rhs, _ = trial_values("schwarz", x.plus, x.minus, B, z.ORIGIN)
+        assert abs(rhs) <= 1e-10 * (1 + abs(lhs))
 
     def test_to_dict(self):
-        d = z.check_isoperimetric(DISC_VECTOR).to_dict()
-        assert set(d) == {"holds", "lhs", "rhs", "slack", "tolerance"}
+        assert set(inequalities.campaign("iso", 3, 0)) == {"violations", "min_slack"}
+        assert set(inequalities.campaign("bmgen", 3, 0)) == {"violations", "min_slack", "checked"}
 
 
 class TestFuzz:
+    # Each inequality on canonical lifted vectors, with the campaign's tolerance rules.
     def test_iso_random(self, rng):
         for _ in range(500):
             x = random_lifted(rng)
-            rep = z.check_isoperimetric(x)
-            assert rep.holds, rep
+            assert z.deficit(x) >= -1e-9 * (1 + z.perimeter_ext(x) ** 2)
 
     def test_bm_generalized_random(self, rng):
         checked = 0
         while checked < 300:
             x, y = random_lifted(rng, 6), random_lifted(rng, 6)
-            if z.measure_ext(x) <= 0 or z.measure_ext(y) <= 0:
+            mx, my = z.measure_ext(x), z.measure_ext(y)
+            if mx <= 0 or my <= 0:
                 continue
-            assert z.check_bm_generalized(x, y).holds
+            b2 = z.bilinear_M(x, y) ** 2
+            assert b2 - mx * my >= -(1e-9 + 1e-9 * (1 + b2 + mx * my))
             checked += 1
 
     def test_schwarz_random(self, rng):
         for _ in range(300):
             x, y = random_lifted(rng, 6), random_lifted(rng, 6)
-            assert z.check_schwarz_deficit(x, y).holds
+            lhs = math.sqrt(max(z.deficit(x), 0.0)) * math.sqrt(max(z.deficit(y), 0.0))
+            e = z.eps_form(x, y)
+            assert lhs - e >= -(1e-9 + 1e-9 * (1 + abs(lhs) + abs(e)))
 
 
 class TestRotationFns:
     def test_E_square_segment(self):
         seg = z.segment(0.0, 0.5)
         # u + rotated segment sweeps width(u) extra area
-        assert z.rotation_fn_E(S, seg, PI / 2) == pytest.approx(2.0, rel=1e-13)
+        assert z.rotation_fn_E(S, seg, [PI / 2])[0] == pytest.approx(2.0, rel=1e-13)
 
     def test_F_matches_mixed_area(self, rng):
         for _ in range(100):
             u = random_body(rng, 6)
             v = random_zonogon(rng, 6)
-            phi = float(rng.uniform(0, PI))
-            expected = z.mixed_area(u, z.rotate(v, phi))
-            assert z.rotation_fn_F(u, v, phi) == pytest.approx(expected, rel=1e-11)
+            phis = rng.uniform(0, PI, 3)
+            expected = [z.mixed_area(u, z.rotate(v, float(phi))) for phi in phis]
+            assert z.rotation_fn_F(u, v, phis) == pytest.approx(expected, rel=1e-11)
 
     def test_E_minus_2F_constant(self, rng):
+        # E is written as area(u) + area(v) + 2F; the area of the rotated sum checks that.
         for _ in range(50):
             u = random_zonogon(rng, 6)
             v = random_zonogon(rng, 6)
             const = z.area(u) + z.area(v)
-            for phi in rng.uniform(0, PI, 5):
-                diff = z.rotation_fn_E(u, v, float(phi)) - 2 * z.rotation_fn_F(u, v, float(phi))
-                assert diff == pytest.approx(const, rel=1e-10)
+            phis = rng.uniform(0, PI, 5)
+            areas = [z.area(u + z.rotate(v, float(phi))) for phi in phis]
+            assert np.array(areas) - 2 * z.rotation_fn_F(u, v, phis) == pytest.approx([const] * 5, rel=1e-10)
+            assert z.rotation_fn_E(u, v, phis) == pytest.approx(areas, rel=1e-10)
 
     def test_E_pi_periodic(self, rng):
         u, v = random_zonogon(rng, 6), random_zonogon(rng, 6)
-        for phi in (0.0, 0.4, 1.3):
-            assert z.rotation_fn_E(u, v, phi) == pytest.approx(
-                z.rotation_fn_E(u, v, phi + PI), rel=1e-12
-            )
+        phis = np.array([0.0, 0.4, 1.3])
+        assert z.rotation_fn_E(u, v, phis) == pytest.approx(
+            z.rotation_fn_E(u, v, phis + PI), rel=1e-12
+        )
 
     def test_requires_zonogon(self):
         with pytest.raises(UnsupportedRepresentationError):
-            z.rotation_fn_E(S, B, 0.1)
+            z.rotation_fn_E(S, B, [0.1])
+        with pytest.raises(UnsupportedRepresentationError):
+            z.rotation_fn_F(S, B.atoms, [0.1])
 
 
 class TestSingularMin:
@@ -148,12 +161,25 @@ class TestSingularMin:
             u = random_zonogon(rng, 5)
             v = random_zonogon(rng, 5)
             phi, f = z.singular_min(u, v)
-            vals = inequalities._rotation_fn_F_many(u, v, grid)
+            vals = z.rotation_fn_F(u, v, grid)
             assert vals.min() >= f - 1e-6 * (1 + f)
 
     def test_origin_rejected(self):
         with pytest.raises(DomainError):
             z.singular_min(S, z.ORIGIN)
+
+    def test_atom_triples_as_bodies(self, rng):
+        for _ in range(50):
+            u, v = random_zonogon(rng, 5), random_zonogon(rng, 5)
+            if not (len(u.angles) and len(v.angles)):
+                continue
+            assert z.singular_min(u.atoms, v.atoms) == z.singular_min(u, v)
+
+    def test_triple_checks(self):
+        with pytest.raises(UnsupportedRepresentationError):
+            z.singular_min(S.atoms, (np.array([0.3]), np.array([1.0]), 0.5))
+        with pytest.raises(DomainError):
+            z.singular_min((np.array([]), np.array([]), 0.0), S.atoms)
 
     def test_candidates_of_empty_body(self):
         assert len(inequalities.singular_candidates(B, S)) == 0
@@ -205,6 +231,18 @@ class TestReducePair:
         trace = z.reduce_pair(u, v)
         assert len(trace.steps) == 3
         assert built == {"Body": 1, "LiftedVector": 1}
+
+    def test_one_search_per_step(self, monkeypatch):
+        calls = []
+        search = inequalities.singular_min
+
+        def counted(u, v):
+            calls.append((u, v))
+            return search(u, v)
+
+        monkeypatch.setattr(inequalities, "singular_min", counted)
+        trace = z.reduce_pair(z.body([(0.1, 1.0), (0.9, 0.6), (1.7, 1.1)]), z.body([(0.4, 0.8), (1.3, 0.5)]))
+        assert len(calls) == len(trace.steps) > 0
 
     def test_trace_invariants(self, rng):
         for _ in range(200):
@@ -269,21 +307,28 @@ class TestHyperbolicWitness:
             assert z.measure_ext(w) <= 1e-9 * scale * scale
 
 
+def deficit_vanishes(x, tol=1e-10):
+    scale = 1.0 + abs(z.perimeter_ext(x))
+    return z.deficit(x) <= tol * scale * scale
+
+
 class TestEqualityCase:
     def test_disc_translates(self):
-        assert z.equality_case_check(z.lift(S + B, S))
-        assert z.equality_case_check(z.scale_real(DISC_VECTOR, -3.0))
-        assert z.equality_case_check(lifted.ZERO)
+        assert deficit_vanishes(z.lift(S + B, S))
+        assert deficit_vanishes(z.scale_real(DISC_VECTOR, -3.0))
+        assert deficit_vanishes(lifted.ZERO)
 
     def test_non_disc(self):
-        assert not z.equality_case_check(z.from_body(S))
-        assert not z.equality_case_check(z.lift(S, B))
+        assert not deficit_vanishes(z.from_body(S))
+        assert not deficit_vanishes(z.lift(S, B))
 
     def test_structural_agreement(self, rng):
+        # A canonical vector with no diangle left is a disc multiple.
         for _ in range(200):
             x = random_lifted(rng)
-            if inequalities.is_disc_multiple(x):
-                assert z.equality_case_check(x)
+            stray = float(x.plus.lengths.sum() + x.minus.lengths.sum())
+            if stray <= 1e-10 * (1.0 + abs(z.perimeter_ext(x))):
+                assert deficit_vanishes(x)
 
     def test_strict_positivity_random(self, rng):
         for _ in range(300):
@@ -292,31 +337,38 @@ class TestEqualityCase:
                 continue
             x = z.from_body(a)
             assert z.deficit(x) > 0.0
-            assert not z.equality_case_check(x)
+            assert not deficit_vanishes(x)
 
 
 def reference_campaign(kind, trials, seed, max_diangles, tol):
-    """One check_* report per trial (None when bmgen skips it) and the violation count."""
-    reports, violations = [], 0
+    """Per trial (lhs, rhs) from the per-object forms (None when bmgen skips it), and the violation count."""
+    pairs, violations = [], 0
     for i in range(trials):
         rng = generators.trial_rng(seed, i)
         if kind == "bm":
             u, v = random_body(rng, max_diangles), random_body(rng, max_diangles)
-            rep = z.check_bm_classical(u, v, tol, tol)
+            lhs = math.sqrt(z.area(u + v))
+            rhs = math.sqrt(z.area(u)) + math.sqrt(z.area(v))
         else:
             x = random_lifted(rng, max_diangles)
             if kind == "iso":
-                rep = z.check_isoperimetric(x, tol, tol)
+                lhs, rhs = z.perimeter_ext(x) ** 2, 4 * PI * z.measure_ext(x)
             else:
                 y = random_lifted(rng, max_diangles)
-                if kind == "bmgen" and (z.measure_ext(x) <= 0 or z.measure_ext(y) <= 0):
-                    reports.append(None)
-                    continue
-                check = z.check_bm_generalized if kind == "bmgen" else z.check_schwarz_deficit
-                rep = check(x, y, tol, tol)
-        reports.append(rep)
-        violations += rep.slack < -tol * (1 + rep.lhs) if kind == "iso" else not rep.holds
-    return reports, violations
+                if kind == "bmgen":
+                    if z.measure_ext(x) <= 0 or z.measure_ext(y) <= 0:
+                        pairs.append(None)
+                        continue
+                    lhs, rhs = z.bilinear_M(x, y) ** 2, z.measure_ext(x) * z.measure_ext(y)
+                else:
+                    lhs = math.sqrt(max(z.deficit(x), 0.0)) * math.sqrt(max(z.deficit(y), 0.0))
+                    rhs = z.eps_form(x, y)
+        pairs.append((lhs, rhs))
+        if kind == "iso":
+            violations += lhs - rhs < -tol * (1 + lhs)
+        else:
+            violations += not lhs - rhs >= -(tol + tol * (1 + abs(lhs) + abs(rhs)))
+    return pairs, violations
 
 
 # Negative tolerances split the trials into violations and passes, so that
@@ -330,22 +382,23 @@ class TestCampaign:
     def test_matches_per_object_checks(self, kind, max_diangles):
         trials, seed = (60 if max_diangles <= 10 else 8), 5
         lhs, rhs, checked = inequalities.campaign_values(kind, seed, range(trials), max_diangles)
-        reports, _ = reference_campaign(kind, trials, seed, max_diangles, 1e-9)
-        assert list(checked) == [rep is not None for rep in reports]
-        for i, rep in enumerate(reports):
-            if rep is not None:
-                scale = 1e-12 * (1 + abs(rep.lhs) + abs(rep.rhs))
-                assert abs((lhs[i] - rhs[i]) - rep.slack) <= scale, (i, rep)
+        pairs, _ = reference_campaign(kind, trials, seed, max_diangles, 1e-9)
+        assert list(checked) == [pair is not None for pair in pairs]
+        for i, pair in enumerate(pairs):
+            if pair is not None:
+                ref_lhs, ref_rhs = pair
+                scale = 1e-12 * (1 + abs(ref_lhs) + abs(ref_rhs))
+                assert abs((lhs[i] - rhs[i]) - (ref_lhs - ref_rhs)) <= scale, (i, pair)
         for tol in (1e-9, 0.0, SPLIT_TOL[kind]):
-            reports, violations = reference_campaign(kind, trials, seed, max_diangles, tol)
-            done = [rep for rep in reports if rep is not None]
+            pairs, violations = reference_campaign(kind, trials, seed, max_diangles, tol)
+            slacks = [lhs - rhs for lhs, rhs in filter(None, pairs)]
             got = inequalities.campaign(kind, trials, seed, max_diangles, tol)
             assert type(got["violations"]) is int
             assert got["violations"] == violations
-            assert got["min_slack"] == pytest.approx(min(rep.slack for rep in done), rel=1e-12, abs=1e-12)
+            assert got["min_slack"] == pytest.approx(min(slacks), rel=1e-12, abs=1e-12)
             if kind == "bmgen":
                 assert type(got["checked"]) is int
-                assert got["checked"] == len(done)
+                assert got["checked"] == len(slacks)
             else:
                 assert "checked" not in got
 
