@@ -47,14 +47,20 @@ def _emit_json(obj, out_path: str | None) -> None:
 def _csv(rows) -> str:
     """CSV of a 2-D float array, each entry as repr writes it; NaN or inf is an error.
 
-    Each distinct bit pattern (so 0.0 and -0.0 apart) is formatted once; the
-    inverse is reshaped, as numpy 1.x and 2.x give it different shapes."""
+    Each distinct bit pattern (so 0.0 and -0.0 apart) is formatted once: the
+    patterns are sorted once, the first of each run kept, and every entry
+    found among those by binary search."""
     arr = np.ascontiguousarray(rows, dtype=float)
     if not np.isfinite(arr).all():
         raise NumericError("result is not finite")
-    distinct, index = np.unique(arr.view(np.int64), return_inverse=True)
+    bits = arr.view(np.int64)
+    distinct = np.sort(bits, axis=None)
+    first = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
     text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return "".join(",".join(row) + "\n" for row in text[index.reshape(arr.shape)].tolist())
+    # row by row: one list of a row's strings at a time stays in cache
+    return "\n".join([",".join(text[row].tolist()) for row in np.searchsorted(distinct, bits)] + [""])
 
 
 def _read_body(path: str) -> Body:

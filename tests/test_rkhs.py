@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -276,17 +277,146 @@ class TestInterpolate:
         residual = np.max(np.abs(z.kernel(off[:, None], nodes[None, :]) @ coeffs - 1.0))
         assert residual <= 0.05
 
-    def test_singular_advice(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
-        with pytest.raises(NumericError, match="ridge"):
-            z.interpolate([0.1, 0.9], [1.0, 2.0])
+    def test_singular_advice(self):
+        # 0 and pi are one circle point: at ridge 0 their two values must agree
+        with pytest.raises(NumericError, match="ridge > 0"):
+            z.interpolate([0.0, PI], [1.0, 2.0])
 
     def test_negative_ridge_rejected(self):
         with pytest.raises(InvalidInputError):
             z.interpolate([0.1, 0.2], [1.0, 1.0], ridge=-1e-3)
+
+
+def within_residual_bound(nodes, values, coeffs, ridge):
+    """The benchmark's acceptance test for an interpolation, on the float Gram."""
+    system = z.gram(nodes) + ridge * np.eye(len(nodes))
+    residual = np.max(np.abs(system @ coeffs - values))
+    bound = 1e-8 * (np.abs(system).sum(axis=1).max() * np.abs(coeffs).max() + np.abs(values).max())
+    return residual <= bound
+
+
+def random_fit_data(n):
+    rng = np.random.default_rng(n)
+    return np.sort(rng.uniform(0.0, PI, n)), rng.standard_normal(n)
+
+
+class TestGreenSolve:
+    @pytest.mark.parametrize("m", range(2, 41))
+    def test_closed_form_inverse(self, m):
+        rng = np.random.default_rng(m)
+        theta = np.sort(rng.uniform(0.0, PI, m))
+        weight, t1 = rkhs._green_inverse(theta)
+        t = np.column_stack([rkhs._inverse_times(weight, t1, e) for e in np.eye(m)])
+        gaps = np.append(np.diff(theta), theta[0] + PI - theta[-1])
+        if m == 2:
+            assert t[0, 0] == pytest.approx(0.0, abs=1e-12 / np.sin(gaps[0]))
+            assert t[0, 1] == pytest.approx(1.0 / np.sin(gaps[0]), rel=1e-12)
+        else:
+            for i in range(m):
+                j = (i + 1) % m
+                assert t[i, j] == pytest.approx(1.0 / (2.0 * np.sin(gaps[i])), rel=1e-12)
+                assert t[i, i] == pytest.approx(-(1.0 / np.tan(gaps[i - 1]) + 1.0 / np.tan(gaps[i])) / 2.0, rel=1e-9)
+            assert np.count_nonzero(t) <= 3 * m
+        s = np.abs(np.sin(theta[:, None] - theta[None, :]))
+        assert np.max(np.abs(t @ s - np.eye(m))) <= 1e-9
+        assert np.max(np.abs(t - np.linalg.inv(s))) <= 1e-7 * np.max(np.abs(t))
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-10, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 512, 2048])
+    def test_matches_dense_solve(self, n, ridge):
+        nodes, values = random_fit_data(n)
+        coeffs = z.interpolate(nodes, values, ridge=ridge)
+        assert within_residual_bound(nodes, values, coeffs, ridge)
+        if ridge >= 1e-3:  # condition number at most (2n + ridge) / ridge
+            dense = np.linalg.solve(z.gram(nodes) + ridge * np.eye(n), values)
+            assert np.max(np.abs(coeffs - dense)) <= 1e-8 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("ridge", [1e12, 1e308])
+    def test_huge_ridge(self, ridge):
+        # above rkhs.BIG_RIDGE the solve starts from values / ridge
+        nodes, values = random_fit_data(64)
+        coeffs = z.interpolate(nodes, values, ridge=ridge)
+        assert within_residual_bound(nodes, values, coeffs, ridge)
+        assert coeffs * ridge == pytest.approx(values, rel=1e-9, abs=1e-9 * 128 * np.abs(values).max())
+
+    def test_gram_apply_matches_dense_product(self):
+        nodes, _ = random_fit_data(2048)
+        c = np.random.default_rng(1).standard_normal(2048)
+        assert np.max(np.abs(rkhs._gram_apply(nodes, c) - z.gram(nodes) @ c)) <= 1e-14 * np.abs(c).sum()
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-10, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("gap", [1e-13, 1e-9])
+    def test_near_wrap(self, gap, ridge):
+        # 0 and pi - gap are gap apart on the circle, not on the line
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 8, 64):
+            nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.1, PI - 0.1, n - 2)), [PI - gap]])
+            values = rng.standard_normal(n)
+            assert within_residual_bound(nodes, values, z.interpolate(nodes, values, ridge=ridge), ridge)
+
+    def test_ends_one_ulp_apart(self, rng):
+        # the benchmark's grid: 512 samples whose values at 0 and pi differ by 1 ulp
+        nodes = np.linspace(0.0, PI, 512)
+        values = z.sample(random_lifted(rng, 24), 512)[1].copy()
+        values[-1] = np.nextafter(values[0], np.inf)
+        for ridge in (1e-10, 1e-3):
+            coeffs = z.interpolate(nodes, values, ridge=ridge)
+            assert within_residual_bound(nodes, values, coeffs, ridge)
+            assert coeffs[0] - coeffs[-1] == pytest.approx((values[0] - values[-1]) / ridge, rel=1e-6)
+        # at ridge 0 the pair agrees to rounding and splits evenly
+        coeffs = z.interpolate(nodes, values)
+        assert coeffs[0] == coeffs[-1]
+        assert within_residual_bound(nodes, values, coeffs, 0.0)
+
+    def test_merged_pair_is_minimum_norm(self):
+        # G = 2 11^T on the one circle point: a_0 + a_pi = 1/2, split evenly
+        assert z.interpolate([0.0, PI], [1.0, 1.0]).tolist() == [0.25, 0.25]
+        assert z.interpolate([PI, 0.0], [1.0, 1.0], ridge=1.0).tolist() == pytest.approx([0.2, 0.2], rel=1e-15)
+
+    def test_line_duplicates_rejected(self):
+        with pytest.raises(InvalidInputError, match="distinct"):
+            z.interpolate([0.3, 0.3 + 1e-13], [1.0, 1.0], ridge=1.0)
+
+    def test_builds_no_square_array(self, monkeypatch):
+        def no_matrix(*_):
+            raise AssertionError("the kernel matrix is built")
+
+        monkeypatch.setattr(rkhs, "kernel", no_matrix)
+        nodes, values = random_fit_data(2048)
+        tracemalloc.start()
+        try:
+            z.interpolate(nodes, values, ridge=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 2048 * 8 / 16  # a 2048 x 2048 float array is 32 MiB
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            z.interpolate([0.1, 0.9], [1.0, 2.0])[0] = 0.0
+
+
+class TestRepresenter:
+    """The fitted function is a lifted vector: the paper's last step."""
+
+    @staticmethod
+    def representer(nodes, coeffs):
+        """sum_i a_i k_(phi_i) with k_phi = [2B, (pi/2) I^phi]: signed atoms (phi_i, -(pi/2) a_i), disc 2 sum a."""
+        atoms = -(PI / 2.0) * np.asarray(coeffs)
+        radius = 2.0 * float(np.sum(coeffs))
+        plus = z.canonicalize(nodes[atoms > 0], atoms[atoms > 0], max(radius, 0.0))
+        minus = z.canonicalize(nodes[atoms < 0], -atoms[atoms < 0], max(-radius, 0.0))
+        return z.lift(plus, minus)
+
+    @pytest.mark.parametrize("ridge", [1e-3, 1.0])
+    def test_interpolant_is_lifted_vector(self, rng, ridge):
+        nodes = np.sort(rng.uniform(0.0, PI, 12))
+        coeffs = z.interpolate(nodes, rng.standard_normal(12), ridge=ridge)
+        x = self.representer(nodes, coeffs)
+        for psi in np.linspace(0.0, PI, 37):
+            want = float(z.kernel(nodes, psi) @ coeffs)
+            assert z.evaluate(x, float(psi)) == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(coeffs).sum())
+        assert z.inner(x, x) == pytest.approx(coeffs @ z.gram(nodes) @ coeffs, rel=1e-13)
 
 
 class TestSample:
@@ -350,8 +480,18 @@ class TestSerialization:
         assert len(d["entries"]) == 2
 
     def test_gram_csv_matches_per_entry_repr(self, rng):
-        for nodes in (np.linspace(0, PI, 64), np.sort(rng.uniform(0, PI, 50))):
-            rows = np.vstack([nodes, z.gram(nodes)])
+        tiny, huge = 5e-324, 1e308
+        cases = [np.vstack([nodes, z.gram(nodes)]) for nodes in (np.linspace(0, PI, 64), np.sort(rng.uniform(0, PI, 50)))]
+        cases += [
+            np.array([[tiny, -tiny, huge, -huge, -0.0, 0.0, 1.0]]),
+            np.array([[tiny, huge], [-0.0, -tiny], [-huge, 0.0]]),
+            np.array([[-0.0]]),
+            np.array([[tiny]]),
+            rng.standard_normal((1, 17)),
+            rng.standard_normal((300, 300)),
+            np.round(rng.standard_normal((300, 300)), 1),  # many repeats
+        ]
+        for rows in cases:
             assert _csv(rows) == "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
 
     def test_gram_csv_keeps_signed_zero(self):
