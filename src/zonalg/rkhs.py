@@ -280,8 +280,9 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
     Steps of iterative refinement follow, against the O(n log n) residual of
     _gram_apply: one always, and up to three in all while the residual
     exceeds 1e-9 * ((2n + ridge) * max|a| + max|values|), a bound on
-    1e-9 * (||G + ridge I||_inf max|a| + max|values|); NumericError if it
-    still does.
+    1e-9 * (||G + ridge I||_inf max|a| + max|values|). If it still does, or
+    the solve breaks down, the solve is redone at ridge * (1 + 2^-20) and
+    refined against the true ridge; NumericError if that fails too.
     """
     if ridge < 0:
         raise InvalidInputError(f"ridge must be >= 0, got {ridge}")
@@ -318,20 +319,19 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
         g = _gram_apply(circle, c)
         return vals - np.concatenate([g[:merged], g]) - ridge * a
 
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            solve = _green_solver(circle, w, ridge)
-            a = fit(vals)
-            r = residual(a)
-            for _ in range(3):
-                a = a + fit(r)
-                r = residual(a)
-                if np.abs(r).max() <= 1e-9 * ((2 * n + ridge) * np.abs(a).max() + np.abs(vals).max()):
-                    break
-            else:
-                raise NumericError(f"kernel solve left residual {np.abs(r).max():.3g}; retry with another ridge")
-    except (ZeroDivisionError, FloatingPointError) as exc:
-        raise NumericError("kernel solve broke down (a zero pivot or an overflow); retry with another ridge") from exc
-    out = np.empty(n)
-    out[order] = a
-    return frozen_array(out)
+    # M is singular at one ridge, and within about 1e-12 of it the first
+    # solve fails; the solve at a ridge 2^-20 away then refines at that rate.
+    for base in (ridge, ridge * (1.0 + 2.0**-20)):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                solve = _green_solver(circle, w, base)
+                a = fit(vals)
+                for _ in range(3):
+                    a = a + fit(residual(a))
+                    if np.abs(residual(a)).max() <= 1e-9 * ((2 * n + ridge) * np.abs(a).max() + np.abs(vals).max()):
+                        out = np.empty(n)
+                        out[order] = a
+                        return frozen_array(out)
+        except (ZeroDivisionError, FloatingPointError):
+            pass
+    raise NumericError("kernel solve did not converge; retry with another ridge")

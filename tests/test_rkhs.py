@@ -331,6 +331,14 @@ class TestGreenSolve:
             dense = np.linalg.solve(z.gram(nodes) + ridge * np.eye(n), values)
             assert np.max(np.abs(coeffs - dense)) <= 1e-8 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 512])
+    def test_ridge_where_tridiagonal_part_is_singular(self, n):
+        # (pi/2) W - ridge S^-1 is singular at ridge = (pi/2) * (largest eigenvalue of S)
+        nodes, values = random_fit_data(n)
+        critical = (PI / 2.0) * np.linalg.eigvalsh(np.abs(np.sin(nodes[:, None] - nodes[None, :])))[-1]
+        for ridge in (critical, np.nextafter(critical, np.inf)):
+            assert within_residual_bound(nodes, values, z.interpolate(nodes, values, ridge=ridge), ridge)
+
     @pytest.mark.parametrize("ridge", [1e12, 1e308])
     def test_huge_ridge(self, ridge):
         # above rkhs.BIG_RIDGE the solve starts from values / ridge
