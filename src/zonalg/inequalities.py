@@ -29,7 +29,7 @@ NEAR_CANCEL = 1e-12
 # Bodies drawn per trial, in draw order.  iso and bm draw (u, v); bmgen and
 # schwarz draw x = [u, v] and then y = [u', v'].
 CAMPAIGN_BODIES = {"iso": 2, "bm": 2, "bmgen": 4, "schwarz": 4}
-# Bound on the entries of one batch's (n, k, k) sine tensor.
+# Bound on one batch's (n, k, k) sin·cos products; atom_form holds two at once.
 CHUNK_ENTRIES = 1 << 22
 # One trial's tensor has (2 * max_diangles)**2 entries and cannot be split.
 MAX_DIANGLES = math.isqrt(CHUNK_ENTRIES) // 2

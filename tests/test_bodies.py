@@ -141,6 +141,9 @@ class TestAreaPerimeterMixed:
 
     def test_segment_area_zero(self):
         assert z.area(SEG) == 0.0
+        # atoms all along one direction, merged by body() and as raw atoms
+        assert z.area(z.body([(2.9, 0.5), (2.9 - PI, 0.25), (2.9, 2.0)])) == 0.0
+        assert bodies.atom_form([2.9] * 3, [0.5, -0.25, 2.0], 0.0, [2.9] * 3, [0.5, -0.25, 2.0], 0.0) == 0.0
 
     def test_disc_perimeter(self):
         assert z.perimeter(B) == pytest.approx(2 * PI, abs=0)
@@ -202,6 +205,43 @@ class TestAtomForm:
             for j in range(3):
                 one = bodies.atom_form(angles[i, j], weights[i, j], radii[i, j], angles[1 - i, j], weights[1 - i, j], radii[1 - i, j])
                 assert batch[i, j].tobytes() == np.float64(one).tobytes()
+        # x·x reuses x's sin and cos; copies of x take them again, to the same bits
+        shared = bodies.atom_form(angles, weights, radii, angles, weights, radii)
+        assert shared.tobytes() == bodies.atom_form(angles, weights, radii, angles.copy(), weights.copy(), radii).tobytes()
+
+    def test_matches_mpmath(self, rng):
+        # Angle addition leaves each |sin| off by O(ε) absolute, so the form is
+        # off by a few ε times Σ|w1|Σ|w2| + |r1|Σ|w2| + |r2|Σ|w1| + |r1 r2|,
+        # near-parallel atoms (gaps 1e-13 .. 1e-6) included.
+        mpmath = pytest.importorskip("mpmath")
+
+        def gaps(shape):
+            return 10.0 ** rng.uniform(-13, -6, shape) * rng.choice([-1, 1], shape)
+
+        def vector(k, batch):
+            angles = rng.uniform(0, PI, (*batch, k))
+            angles = np.where(rng.random(angles.shape) < 0.4, np.roll(angles, 1, axis=-1) + gaps(angles.shape), angles)
+            return angles, rng.uniform(-1, 1, (*batch, k)), rng.uniform(-1, 1, batch)
+
+        def check(x, y):
+            got = np.ravel(bodies.atom_form(*x, *y))
+            rows = [[t.reshape(len(got), -1).tolist(), w.reshape(len(got), -1).tolist(), np.ravel(r).tolist()] for t, w, r in (x, y)]
+            for i in range(len(got)):
+                (a1, w1, r1), (a2, w2, r2) = ((a[i], w[i], r[i]) for a, w, r in rows)
+                with mpmath.workdps(50):
+                    cross = mpmath.fsum(mpmath.mpf(u) * v * abs(mpmath.sin(mpmath.mpf(p) - q)) for p, u in zip(a1, w1) for q, v in zip(a2, w2))
+                    want = 2 * cross + 2 * (r1 * mpmath.fsum(w2) + r2 * mpmath.fsum(w1)) + mpmath.pi * r1 * r2
+                    err = float(abs(mpmath.mpf(float(got[i])) - want))
+                s1, s2 = np.abs(w1).sum(), np.abs(w2).sum()
+                assert err <= 8 * np.finfo(float).eps * (s1 * s2 + abs(r1) * s2 + abs(r2) * s1 + abs(r1 * r2))
+
+        for k in range(1, 25):
+            for batch in ((), (), (), (4,)):
+                x, y = vector(k, batch), vector(k, batch)
+                # y's atoms each near x's, or exactly parallel to them
+                y = (x[0] + gaps(x[0].shape) * (rng.random(x[0].shape) < 0.5), *y[1:])
+                check(x, x)
+                check(x, y)
 
     def test_support_and_perimeter_batch_rows_equal_single_calls(self, rng):
         k, m = 6, 5
