@@ -12,7 +12,6 @@ vectors and the reduction alike.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -169,6 +168,16 @@ def disc(radius: float) -> Body:
     return canonicalize([], [], radius)
 
 
+def disc_polygon(r: float, n: int) -> Body:
+    """Circumscribed regular 2n-gon around the disc of radius r, as a Body."""
+    if n < 2:
+        raise InvalidInputError(f"disc_polygon needs n >= 2, got {n}")
+    if r < 0:
+        raise InvalidInputError(f"radius must be >= 0, got {r}")
+    d = r * math.tan(PI / (2 * n))
+    return body([(k * PI / n, d) for k in range(n)])
+
+
 ORIGIN = Body()
 UNIT_DISC = Body(disc_radius=1.0)
 UNIT_SQUARE = body([(0.0, 0.5), (PI / 2, 0.5)])
@@ -198,6 +207,18 @@ def support(a, theta: float) -> float:
 def atoms_of(x) -> tuple:
     """The (angles, weights, radius) of a Body or LiftedVector; a triple as it is."""
     return x if isinstance(x, tuple) else x.atoms
+
+
+def signed_atoms(plus, minus) -> tuple[np.ndarray, np.ndarray, float]:
+    """Signed atoms (angles, weights, radius) of [plus, minus]: plus's atoms
+    with +, minus's with -, radius r_P - r_M.
+
+    The one place the sign convention is written.  plus and minus are Bodies
+    or atom triples, batched over leading axes; atoms are joined along the
+    last axis.
+    """
+    (pa, pw, pr), (ma, mw, mr) = atoms_of(plus), atoms_of(minus)
+    return np.concatenate([pa, ma], axis=-1), np.concatenate([pw, -mw], axis=-1), pr - mr
 
 
 def support_many(a, thetas: np.ndarray) -> np.ndarray:
@@ -299,45 +320,4 @@ def sup_norm(a) -> float:
 
 def hausdorff(a: Body, b: Body) -> float:
     """sup over directions of |h_a - h_b| (Hausdorff distance of convex bodies)."""
-    from .lifted import LiftedVector  # lifted imports this module
-
-    return sup_norm(LiftedVector(a, b))
-
-
-# --- JSON wire format ---------------------------------------------------
-
-
-def body_to_dict(a: Body) -> dict:
-    return {
-        "diangles": [{"angle": t, "d": h} for t, h in zip(a.angles.tolist(), a.lengths.tolist())],
-        "disc": a.disc_radius,
-    }
-
-
-def json_number(value) -> float:
-    """A JSON number as a float; a boolean, string or other value is a TypeError."""
-    if type(value) not in (int, float):  # json.loads gives exactly these; bool is not one
-        raise TypeError(f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def body_from_dict(obj: dict) -> Body:
-    try:
-        pairs = [(json_number(item["angle"]), json_number(item["d"])) for item in obj["diangles"]]
-        return body(pairs, json_number(obj["disc"]))
-    except KeyError as exc:
-        raise InvalidInputError(f"body JSON missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"body JSON malformed: {exc}") from exc
-
-
-def body_to_json(a: Body) -> str:
-    return json.dumps(body_to_dict(a), sort_keys=True)
-
-
-def body_from_json(text: str) -> Body:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"invalid JSON: {exc}") from exc
-    return body_from_dict(obj)
+    return sup_norm(signed_atoms(a, b))

@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from . import bodies, inequalities, lifted, oracle, rkhs
+from . import bodies, inequalities, lifted, rkhs
 from .bodies import PI, Body
-from .errors import NumericError, ZonalgError
+from .errors import InvalidInputError, NumericError, ZonalgError
 from .lifted import LiftedVector
 
 
@@ -63,14 +63,55 @@ def _csv(rows) -> str:
     return "\n".join([",".join(text[row].tolist()) for row in np.searchsorted(distinct, bits)] + [""])
 
 
-def _read_body(path: str) -> Body:
+# --- JSON wire format: the one reader and writer --------------------------
+
+
+def _read(path: str, what: str, build):
+    """build(obj) for the JSON value obj in the file at path; a file that is
+    not JSON, or a value that build cannot take, is an InvalidInputError."""
     with open(path) as fh:
-        return bodies.body_from_json(fh.read())
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not text, not JSON, too many digits or nested too deep
+            raise InvalidInputError(f"invalid JSON: {exc}") from exc
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise InvalidInputError(f"{what} JSON missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what} JSON malformed: {exc}") from exc
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a boolean, string or other value is a TypeError."""
+    if type(value) not in (int, float):  # json.loads gives exactly these; bool is not one
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _body(obj) -> Body:
+    return bodies.body([(_number(d["angle"]), _number(d["d"])) for d in obj["diangles"]], _number(obj["disc"]))
+
+
+def _read_body(path: str) -> Body:
+    return _read(path, "body", _body)
 
 
 def _read_lifted(path: str) -> LiftedVector:
-    with open(path) as fh:
-        return lifted.lifted_from_json(fh.read())
+    return _read(path, "lifted vector", lambda obj: lifted.lift(_body(obj["plus"]), _body(obj["minus"])))
+
+
+def _read_width_function(path: str) -> tuple[list, list]:
+    return _read(path, "width function", lambda obj: tuple([_number(t) for t in obj[k]] for k in ("nodes", "values")))
+
+
+def _body_dict(a: Body) -> dict:
+    pairs = zip(a.angles.tolist(), a.lengths.tolist())
+    return {"diangles": [{"angle": t, "d": h} for t, h in pairs], "disc": a.disc_radius}
+
+
+def _lifted_dict(x: LiftedVector) -> dict:
+    return {"plus": _body_dict(x.plus), "minus": _body_dict(x.minus)}
 
 
 # --- body ----------------------------------------------------------------
@@ -125,9 +166,9 @@ def body_svg(a: Body, grid: int = 256) -> str:
 
 
 def _polygonize(a: Body, n: int) -> Body:
-    """a with its disc replaced by oracle.disc_polygon(r, n); a itself when n is 0 or a has no disc."""
+    """a with its disc replaced by bodies.disc_polygon(r, n); a itself when n is 0 or a has no disc."""
     if a.disc_radius > 0 and n:
-        return bodies.minkowski_add(Body(a.angles, a.lengths), oracle.disc_polygon(a.disc_radius, n))
+        return bodies.minkowski_add(Body(a.angles, a.lengths), bodies.disc_polygon(a.disc_radius, n))
     return a
 
 
@@ -163,10 +204,10 @@ def _cmd_lift(args) -> int:
         _emit_json(_lift_stats(_read_lifted(args.file)), args.out)
     elif args.action == "add":
         z = lifted.add(_read_lifted(args.file), _read_lifted(args.other))
-        _emit_json(lifted.lifted_to_dict(z), args.out)
+        _emit_json(_lifted_dict(z), args.out)
     elif args.action == "scale":
         z = lifted.scale_real(_read_lifted(args.file), args.value)
-        _emit_json(lifted.lifted_to_dict(z), args.out)
+        _emit_json(_lifted_dict(z), args.out)
     else:  # eval
         val = rkhs.evaluate(_read_lifted(args.file), args.value)
         _emit_json({"phi": args.value, "value": val}, args.out)
@@ -197,7 +238,7 @@ def _cmd_reduce(args) -> int:
     summary = {
         "summary": True,
         "steps": len(trace.steps),
-        "witness": bodies.body_to_dict(w),
+        "witness": _body_dict(w),
         "witness_sign": trace.witness_sign,
         "witness_perimeter": ow,
         "witness_area": mw,
@@ -235,10 +276,9 @@ def _cmd_kernel(args) -> int:
         else:
             _emit_json({"nodes": nodes.tolist(), "values": values.tolist()}, args.out)
     else:  # interp
-        with open(args.file) as fh:
-            nodes, values = rkhs.width_function_from_dict(json.loads(fh.read()))
+        nodes, values = _read_width_function(args.file)
         coeffs = rkhs.interpolate(nodes, values, ridge=args.ridge)
-        _emit_json({"nodes": nodes.tolist(), "coefficients": coeffs.tolist(), "ridge": args.ridge}, args.out)
+        _emit_json({"nodes": nodes, "coefficients": coeffs.tolist(), "ridge": args.ridge}, args.out)
     return 0
 
 
@@ -380,7 +420,7 @@ def run(argv: list[str]) -> int:
             return args.func(args)
     except SystemExit as exc:  # argparse, on --help or a usage error
         return 2 if exc.code not in (0, None) else 0
-    except (ZonalgError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ZonalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not a verdict: never exit 1

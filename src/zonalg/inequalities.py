@@ -50,11 +50,11 @@ def _values(kind: str, atoms):
         s = np.concatenate([u[0], v[0]], axis=-1), np.concatenate([u[1], v[1]], axis=-1), u[2] + v[2]
         lhs = np.sqrt(atom_form(*s, *s))
         return lhs, np.sqrt(atom_form(*u, *u)) + np.sqrt(atom_form(*v, *v)), all_checked
-    x = LiftedVector(u, v).atoms
+    x = bodies.signed_atoms(u, v)
     ox, mx = perimeter(x), atom_form(*x, *x)
     if kind == "iso":
         return ox * ox, 4.0 * PI * mx, all_checked
-    y = LiftedVector(_body(atoms, 2), _body(atoms, 3)).atoms
+    y = bodies.signed_atoms(_body(atoms, 2), _body(atoms, 3))
     oy, my, bxy = perimeter(y), atom_form(*y, *y), atom_form(*x, *y)
     if kind == "bmgen":
         return bxy * bxy, mx * my, (mx > 0) & (my > 0)
@@ -196,11 +196,11 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     other side, with sign -1 when the surviving side is v.
 
     The pair is one signed-atom triple, u's atoms then v's as
-    LiftedVector.atoms orders them; only the witness is built as a Body.
+    bodies.signed_atoms orders them; only the witness is built as a Body.
     """
     _require_zonogon(u, "reduce_pair")
     _require_zonogon(v, "reduce_pair")
-    angles, weights, _ = LiftedVector(u, v).atoms
+    angles, weights, _ = bodies.signed_atoms(u, v)
     k = len(u.angles)  # atoms [:k] are u's, [k:] are v's with weight -d
     steps: list[ReductionStep] = []
     while 0 < k < len(angles):

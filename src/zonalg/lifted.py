@@ -8,7 +8,6 @@ Every form reads the signed atoms of `LiftedVector.atoms`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bodies
-from .bodies import PI, UNIT_DISC, Body, atom_form, atoms_of, merge_atoms, minkowski_add, sup_norm
+from .bodies import PI, UNIT_DISC, Body, atom_form, merge_atoms, minkowski_add, signed_atoms, sup_norm
 from .errors import InvalidInputError
 
 FOUR_PI_SQ = 4.0 * PI * PI
@@ -29,14 +28,8 @@ class LiftedVector:
 
     @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Signed atoms (angles, weights, radius): plus with +, minus with -, radius r_P - r_M.
-
-        The one place the sign convention is written.  plus and minus may
-        also be atom triples batched over leading axes; atoms are joined
-        along the last axis.
-        """
-        (pa, pw, pr), (ma, mw, mr) = atoms_of(self.plus), atoms_of(self.minus)
-        return np.concatenate([pa, ma], axis=-1), np.concatenate([pw, -mw], axis=-1), pr - mr
+        """Signed atoms (angles, weights, radius): plus with +, minus with -, radius r_P - r_M."""
+        return signed_atoms(self.plus, self.minus)
 
     @property
     def is_zero(self) -> bool:
@@ -63,7 +56,7 @@ def lift(u: Body, v: Body) -> LiftedVector:
     A group that chains past ANGLE_TOL can leave two kept atoms within it
     of each other; they are merged again, so lifting a lift changes nothing.
     """
-    angles, weights, _ = merge_atoms(*LiftedVector(u, v).atoms[:2])
+    angles, weights, _ = merge_atoms(*signed_atoms(u, v)[:2])
     while np.count_nonzero(np.diff(angles) <= bodies.ANGLE_TOL):
         angles, weights, _ = merge_atoms(angles, weights)
     plus = weights > 0.0
@@ -90,6 +83,8 @@ def neg(x: LiftedVector) -> LiftedVector:
 
 
 def scale_real(x: LiftedVector, lam: float) -> LiftedVector:
+    if not math.isfinite(lam):
+        raise InvalidInputError(f"scale factor must be finite, got {lam}")
     if lam < 0:
         return neg(scale_real(x, -lam))
     return lift(bodies.scale(x.plus, lam), bodies.scale(x.minus, lam))
@@ -143,33 +138,3 @@ def norm_bp(x: LiftedVector) -> float:
     W = origin since support functions are nonnegative and additive.
     """
     return sup_norm(x.plus) + sup_norm(x.minus)
-
-
-# --- JSON wire format ---------------------------------------------------
-
-
-def lifted_to_dict(x: LiftedVector) -> dict:
-    return {"plus": bodies.body_to_dict(x.plus), "minus": bodies.body_to_dict(x.minus)}
-
-
-def lifted_from_dict(obj: dict) -> LiftedVector:
-    try:
-        plus = bodies.body_from_dict(obj["plus"])
-        minus = bodies.body_from_dict(obj["minus"])
-    except KeyError as exc:
-        raise InvalidInputError(f"lifted vector JSON missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"lifted vector JSON malformed: {exc}") from exc
-    return lift(plus, minus)
-
-
-def lifted_to_json(x: LiftedVector) -> str:
-    return json.dumps(lifted_to_dict(x), sort_keys=True)
-
-
-def lifted_from_json(text: str) -> LiftedVector:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"invalid JSON: {exc}") from exc
-    return lifted_from_dict(obj)

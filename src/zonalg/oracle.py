@@ -4,6 +4,7 @@ Validation counterpart to zonalg.bodies and zonalg.rkhs. The polygon
 arithmetic works on explicit vertex lists and deliberately never calls the
 zonogon closed forms; the Jacobi eigenvalue solver works on a dense matrix
 and never uses the circulant structure behind rkhs.grid_eigenvalues.
+No module of the package imports this one; the tests do.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import PI, Body, body
+from .bodies import PI
 from .errors import InvalidInputError, NumericError
 
 JACOBI_EPS = 1e-12
@@ -121,16 +122,6 @@ def poly_width(p: Polygon, phi: float) -> float:
     n = np.array([-math.sin(phi), math.cos(phi)])
     proj = p.array @ n
     return float(proj.max() - proj.min())
-
-
-def disc_polygon(r: float, n: int) -> Body:
-    """Circumscribed regular 2n-gon around the disc of radius r, as a Body."""
-    if n < 2:
-        raise InvalidInputError(f"disc_polygon needs n >= 2, got {n}")
-    if r < 0:
-        raise InvalidInputError(f"radius must be >= 0, got {r}")
-    d = r * math.tan(PI / (2 * n))
-    return body([(k * PI / n, d) for k in range(n)])
 
 
 def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bodies
-from .bodies import PI, frozen_array, json_number, segment, support_many
+from .bodies import PI, frozen_array, segment, support_many
 from .errors import DomainError, InvalidInputError, NumericError
 from .lifted import LiftedVector, lift
 
@@ -54,20 +54,6 @@ def evaluate(x: LiftedVector, phi: float) -> float:
     """Support difference at the normal of phi; equals inner(x, kernel_vector(phi))."""
     _check_domain(phi)
     return bodies.support(x.atoms, phi + PI / 2.0)
-
-
-def width_function_from_dict(obj: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, values) of a width function's JSON, as read-only float arrays."""
-    try:
-        nodes = [json_number(n) for n in obj["nodes"]]
-        values = [json_number(v) for v in obj["values"]]
-    except KeyError as exc:
-        raise InvalidInputError(f"width function JSON missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"width function JSON malformed: {exc}") from exc
-    if len(nodes) != len(values):
-        raise InvalidInputError("nodes and values must have equal length")
-    return frozen_array(nodes), frozen_array(values)
 
 
 def sample(x: LiftedVector, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +268,8 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
     exceeds 1e-9 * ((2n + ridge) * max|a| + max|values|), a bound on
     1e-9 * (||G + ridge I||_inf max|a| + max|values|). If it still does, or
     the solve breaks down, the solve is redone at ridge * (1 + 2^-20) and
-    refined against the true ridge; NumericError if that fails too.
+    refined against the true ridge; NumericError if that fails too. No
+    nodes, or a value that is not finite, is an InvalidInputError.
     """
     if ridge < 0:
         raise InvalidInputError(f"ridge must be >= 0, got {ridge}")
@@ -292,7 +279,10 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
         raise InvalidInputError("nodes and values must have equal length")
     n = len(phi)
     if n == 0:
-        return frozen_array([])
+        raise InvalidInputError("interpolation needs at least one node")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise InvalidInputError(f"values must be finite, got {vals[bad[0]]} at index {int(bad[0])}")
     theta = np.where(phi == PI, 0.0, phi)
     order = np.argsort(theta)
     theta, vals = theta[order], vals[order]

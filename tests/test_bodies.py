@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zonalg as z
-from zonalg import bodies, generators, oracle
+from zonalg import bodies, cli, generators, oracle
 from zonalg.bodies import ANGLE_TOL, PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import InvalidInputError, UnsupportedRepresentationError
 
@@ -63,7 +64,7 @@ class TestMinkowskiAdd:
 
     def test_area_square_plus_disc(self):
         # independent check: vertex oracle on the polygonized disc
-        approx = oracle.polygon(z.vertices(S + oracle.disc_polygon(1.0, 4096)))
+        approx = oracle.polygon(z.vertices(S + bodies.disc_polygon(1.0, 4096)))
         assert oracle.shoelace_area(approx) == pytest.approx(5 + PI, abs=1e-5)
         assert z.area(S + B) == pytest.approx(5 + PI, rel=1e-14)
         # Steiner cross-check m + o + pi
@@ -463,14 +464,24 @@ def test_canonicalize_idempotent_and_support_preserving(pairs, edge, r):
         assert z.support(a, theta) == pytest.approx(raw, rel=1e-9, abs=1e-9)
 
 
-def test_json_roundtrip(rng):
+def test_json_roundtrip(rng, tmp_path):
+    # cli's writer and reader are inverse: a body reads back bit for bit
+    path = tmp_path / "body.json"
     for _ in range(20):
         a = random_body(rng)
-        assert bodies.body_from_json(bodies.body_to_json(a)) == a
+        path.write_text(cli._dumps(cli._body_dict(a)))
+        assert cli._read_body(str(path)) == a
 
 
-def test_json_errors():
-    with pytest.raises(InvalidInputError):
-        bodies.body_from_json("{not json")
-    with pytest.raises(InvalidInputError):
-        bodies.body_from_json('{"diangles": []}')
+def test_json_errors(tmp_path):
+    path = tmp_path / "body.json"
+    for text, message in [
+        ("{not json", "invalid JSON: "),
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        ('{"diangles": []}', "body JSON missing field 'disc'"),
+        ('{"diangles": [{"angle": "0.5", "d": 1}], "disc": 0}', "body JSON malformed: expected a number, got str"),
+        ('{"diangles": [{"angle": 1' + "0" * 400 + ', "d": 1}], "disc": 0}', "body JSON malformed: int too large"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            cli._read_body(str(path))

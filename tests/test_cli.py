@@ -344,7 +344,8 @@ class TestExitCodes:
 
 
 # Small malformed inputs for the contract fuzz: wrong JSON shapes, wrong
-# field types, non-finite and out-of-range numbers, and bytes that are not
+# field types, non-finite and out-of-range numbers, an integer of more digits
+# than the decoder converts, nesting too deep for it, and bytes that are not
 # text.
 MALFORMED = {
     "m_list.json": "[]",
@@ -360,6 +361,7 @@ MALFORMED = {
     "m_angle_nan.json": '{"diangles": [{"angle": NaN, "d": 1.0}], "disc": 0.0}',
     "m_angle_inf.json": '{"diangles": [{"angle": 1e400, "d": 1.0}], "disc": 0.0}',
     "m_angle_bigint.json": '{"diangles": [{"angle": 1' + "0" * 400 + ', "d": 1.0}], "disc": 0.0}',
+    "m_angle_digits.json": '{"diangles": [{"angle": 1' + "0" * 5000 + ', "d": 1.0}], "disc": 0.0}',
     "m_disc_inf.json": '{"diangles": [], "disc": Infinity}',
     "m_plus_list.json": '{"plus": [], "minus": {"diangles": [], "disc": 0.0}}',
     "m_minus_number.json": '{"plus": {"diangles": [], "disc": 0.0}, "minus": 3}',
@@ -367,10 +369,12 @@ MALFORMED = {
     "m_nodes_nested.json": '{"nodes": [[0.0]], "values": [1.0]}',
     "m_nodes_nan.json": '{"nodes": [0.0, NaN], "values": [1.0, 2.0]}',
     "m_values_inf.json": '{"nodes": [0.0, 1.0], "values": [1.0, Infinity]}',
+    "m_values_nan.json": '{"nodes": [0, 1], "values": [NaN, 2]}',
     "m_values_bigint.json": '{"nodes": [0.0, 1.0], "values": [1.0, 1' + "0" * 400 + "]}",
     "m_nodes_unequal.json": '{"nodes": [0.0, 1.0], "values": [1.0]}',
     "m_nodes_empty.json": '{"nodes": [], "values": []}',
     "m_binary.json": b"\xff\xfe\x00{",
+    "m_deep.json": "[" * 100_000 + "]" * 100_000,
 }
 FUZZ_FILES = sorted(p.name for p in DATA.glob("*.json")) + sorted(MALFORMED) + ["m_missing.json"]
 NUMBERS = st.one_of(
@@ -443,3 +447,58 @@ def test_cli_contract_fuzz(fuzz_dir, argv):
         assert stdout == "", (argv, stdout)
         assert stderr.count("\n") == 1 and "error: " in stderr, (argv, stderr)
     assert "NaN" not in stdout and "Infinity" not in stdout, (argv, stdout)
+
+
+# Every command that reads a file, with F at each file position in turn.
+FILE_ARGVS = [
+    ["body", "stats", "F"],
+    ["body", "vertices", "F", "--polygonize-disc", "4"],
+    ["body", "svg", "F"],
+    ["lift", "stats", "F"],
+    ["lift", "add", "F", "lifted_sb.json"],
+    ["lift", "add", "lifted_sb.json", "F"],
+    ["lift", "scale", "F", "--value", "2"],
+    ["lift", "eval", "F", "--value", "0.5"],
+    ["reduce", "F"],
+    ["kernel", "eval", "F"],
+    ["kernel", "interp", "F", "--ridge", "1e-10"],
+    ["rotation-fn", "F", "segment.json"],
+    ["rotation-fn", "square.json", "F"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_is_input_error(fuzz_dir, name):
+    # The same contract as the fuzz, on every file-reading command: exit 2,
+    # one error line, nothing on stdout.
+    for argv in FILE_ARGVS:
+        argv = [str(fuzz_dir / name) if a == "F" else str(fuzz_dir / a) if a.endswith(".json") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code == 2, (argv, code, err.getvalue())
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+INTERP_ERRORS = {
+    "m_values_inf.json": "error: values must be finite, got inf at index 1\n",
+    "m_values_nan.json": "error: values must be finite, got nan at index 0\n",
+    "m_deep.json": "error: invalid JSON: maximum recursion depth exceeded",
+    "m_nodes_empty.json": "error: interpolation needs at least one node\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERP_ERRORS))
+@pytest.mark.parametrize("ridge", ["0", "1e-10"])
+def test_interp_input_error_message(fuzz_dir, name, ridge, capsys):
+    # non-finite values are named before any solve is tried
+    assert run(["kernel", "interp", str(fuzz_dir / name), "--ridge", ridge]) == 2
+    assert capsys.readouterr().err.startswith(INTERP_ERRORS[name])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_lift_scale_nonfinite_factor(value, capsys):
+    # a negative factor is valid for lift scale, so the message names finiteness only
+    assert run(resolve(["lift", "scale", "lifted_sb.json", f"--value={value}"])) == 2
+    assert capsys.readouterr().err == f"error: scale factor must be finite, got {float(value)}\n"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import zonalg as z
-from zonalg import bodies, lifted
+from zonalg import cli
 from zonalg.bodies import ANGLE_TOL, PI, UNIT_DISC, UNIT_SQUARE
+from zonalg.errors import InvalidInputError
 from zonalg.lifted import DISC_VECTOR, ZERO, LiftedVector
 
 from conftest import random_body, random_lifted
@@ -99,6 +100,12 @@ class TestVectorOps:
 
     def test_scale_minus_one(self):
         assert z.scale_real(DISC_VECTOR, -1.0) == LiftedVector(z.ORIGIN, B)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_scale_by_nonfinite_rejected(self, lam):
+        # a negative factor is valid here, so the message is about finiteness only
+        with pytest.raises(InvalidInputError, match=f"^scale factor must be finite, got {lam}$"):
+            z.scale_real(DISC_VECTOR, lam)
 
     def test_add_embedded(self):
         assert z.add(z.from_body(S), DISC_VECTOR) == z.from_body(S + B)
@@ -298,7 +305,10 @@ class TestHilbertGeometry:
             assert abs(z.inner(x, y)) <= z.norm(x) * z.norm(y) * (1 + 1e-10) + 1e-12
 
 
-def test_lifted_json_roundtrip(rng):
+def test_lifted_json_roundtrip(rng, tmp_path):
+    # cli's writer and reader are inverse: a lifted vector reads back bit for bit
+    path = tmp_path / "lifted.json"
     for _ in range(20):
         x = random_lifted(rng)
-        assert lifted.lifted_from_json(lifted.lifted_to_json(x)) == x
+        path.write_text(cli._dumps(cli._lifted_dict(x)))
+        assert cli._read_lifted(str(path)) == x

@@ -65,26 +65,26 @@ class TestScalars:
 
 class TestDiscPolygon:
     def test_n2_is_square(self):
-        a = oracle.disc_polygon(1.0, 2)
+        a = z.bodies.disc_polygon(1.0, 2)
         assert a.angles.tolist() == [0.0, PI / 2]
         assert all(h == pytest.approx(1.0) for h in a.lengths)
         assert z.area(a) == pytest.approx(4.0)
 
     def test_area_converges(self):
-        assert z.area(oracle.disc_polygon(1.0, 512)) == pytest.approx(PI, abs=2e-5)
+        assert z.area(z.bodies.disc_polygon(1.0, 512)) == pytest.approx(PI, abs=2e-5)
 
     def test_perimeter_converges(self):
-        assert z.perimeter(oracle.disc_polygon(1.0, 512)) == pytest.approx(2 * PI, abs=2e-5)
+        assert z.perimeter(z.bodies.disc_polygon(1.0, 512)) == pytest.approx(2 * PI, abs=2e-5)
 
     def test_hausdorff_bound(self):
         for n in (2, 8, 64):
-            a = oracle.disc_polygon(1.5, n)
+            a = z.bodies.disc_polygon(1.5, n)
             bound = 1.5 * (1 / math.cos(PI / (2 * n)) - 1)
             assert z.hausdorff(a, z.disc(1.5)) <= bound + 1e-12
 
     def test_bad_n(self):
         with pytest.raises(InvalidInputError):
-            oracle.disc_polygon(1.0, 1)
+            z.bodies.disc_polygon(1.0, 1)
 
 
 class TestCrossValidation:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import zonalg as z
-from zonalg import lifted, oracle, rkhs
+from zonalg import oracle, rkhs
 from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
-from zonalg.cli import _csv, run
+from zonalg.cli import _csv, _read_lifted, _read_width_function, run
 from zonalg.errors import DomainError, InvalidInputError, NumericError
 
 from conftest import random_lifted
@@ -286,6 +286,17 @@ class TestInterpolate:
         with pytest.raises(InvalidInputError):
             z.interpolate([0.1, 0.2], [1.0, 1.0], ridge=-1e-3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e400")])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-10])
+    def test_nonfinite_values_rejected(self, bad, ridge):
+        # named before any solve, not reported as a solve that did not converge
+        with pytest.raises(InvalidInputError, match=f"^values must be finite, got {bad} at index 1$"):
+            z.interpolate([0.0, 1.0, 2.0], [1.0, bad, 2.0], ridge=ridge)
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(InvalidInputError, match="^interpolation needs at least one node$"):
+            z.interpolate([], [])
+
 
 def within_residual_bound(nodes, values, coeffs, ridge):
     """The benchmark's acceptance test for an interpolation, on the float Gram."""
@@ -448,12 +459,10 @@ class TestSample:
             assert sup >= z.norm_c(x) - (PI / 4095) * (slope + 1.0)
 
     def test_read_only_arrays(self):
-        nodes = [0.0, 1.0]
-        for pair in (z.sample(z.lift(S, B), 5), rkhs.width_function_from_dict({"nodes": nodes, "values": [2.0, 3.0]})):
-            for arr in pair:
-                assert isinstance(arr, np.ndarray) and arr.dtype == float
-                with pytest.raises(ValueError):
-                    arr[0] = 1.0
+        for arr in z.sample(z.lift(S, B), 5):
+            assert isinstance(arr, np.ndarray) and arr.dtype == float
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_end_sample_repeats_first(self, rng):
         # phi = pi is the circle point phi = 0
@@ -467,13 +476,14 @@ class TestSample:
 
 
 class TestSerialization:
-    def test_width_function_json_roundtrip(self, capsys):
+    def test_width_function_json_roundtrip(self, capsys, tmp_path):
         # kernel eval's JSON reads back as the samples it wrote
         path = str(DATA / "lifted_sb.json")
         assert run(["kernel", "eval", path, "--nodes", "8"]) == 0
-        nodes, values = rkhs.width_function_from_dict(json.loads(capsys.readouterr().out))
-        want = z.sample(lifted.lifted_from_json((DATA / "lifted_sb.json").read_text()), 8)
-        assert nodes.tobytes() == want[0].tobytes() and values.tobytes() == want[1].tobytes()
+        (tmp_path / "wf.json").write_text(capsys.readouterr().out)
+        nodes, values = _read_width_function(str(tmp_path / "wf.json"))
+        want = z.sample(_read_lifted(path), 8)
+        assert np.array(nodes).tobytes() == want[0].tobytes() and np.array(values).tobytes() == want[1].tobytes()
 
     def test_width_function_csv(self):
         assert _csv([(0.0, 1.0), (2.0, 3.0)]) == "0.0,1.0\n2.0,3.0\n"
@@ -511,8 +521,11 @@ class TestSerialization:
         with pytest.raises(NumericError):
             _csv([[0.0, bad]])
 
-    def test_width_function_bad_dict(self):
-        with pytest.raises(InvalidInputError):
-            rkhs.width_function_from_dict({"nodes": [0.0]})
-        with pytest.raises(InvalidInputError):
-            rkhs.width_function_from_dict({"nodes": [0.0], "values": [1.0, 2.0]})
+    def test_width_function_bad_dict(self, tmp_path):
+        path = tmp_path / "wf.json"
+        path.write_text('{"nodes": [0.0]}')
+        with pytest.raises(InvalidInputError, match="^width function JSON missing field 'values'$"):
+            _read_width_function(str(path))
+        path.write_text('{"nodes": [0.0], "values": [1.0, 2.0]}')
+        with pytest.raises(InvalidInputError, match="^nodes and values must have equal length$"):
+            z.interpolate(*_read_width_function(str(path)))
