@@ -69,10 +69,6 @@ class Body:
     def is_origin(self) -> bool:
         return not len(self.angles) and self.disc_radius == 0.0
 
-    @property
-    def is_zonogon(self) -> bool:
-        return self.disc_radius == 0.0
-
     def __add__(self, other: "Body") -> "Body":
         return minkowski_add(self, other)
 
@@ -133,10 +129,11 @@ def merge_atoms(angles: np.ndarray, weights: np.ndarray, near: float = 0.0):
 
 
 def fold(angles: np.ndarray) -> np.ndarray:
-    """Angles mod pi in [0, pi); within ANGLE_TOL below pi goes to 0, so no group wraps around."""
+    """Angles mod pi in [0, pi); within ANGLE_TOL below pi goes to 0, so no
+    group wraps around, and -0.0 goes to +0.0."""
     folded = np.fmod(angles, PI)
     folded[folded < 0.0] += PI
-    folded[PI - folded <= ANGLE_TOL] = 0.0
+    folded[(folded == 0.0) | (PI - folded <= ANGLE_TOL)] = 0.0
     return folded
 
 
@@ -251,8 +248,10 @@ def atom_form(a1, w1, r1, a2, w2, r2):
     batch item gets its own matrix-vector products, so its value does not
     depend on the other items in the batch.  Each |sin(a - b)| is taken as
     |sin a cos b - cos a sin b|, one sin and cos per atom (per vector when
-    a2 is a1); its error is O(ε) absolute, so B's is a few ε·(Σ|w1|Σ|w2| +
-    |r1|Σ|w2| + |r2|Σ|w1| + |r1 r2|), and equal angles give exactly 0.
+    a2 is a1).  With sin and cos within 1 ulp, B is off by at most
+    (k1 + k2 + 16)·ε·(Σ|w1|Σ|w2| + |r1|Σ|w2| + |r2|Σ|w1| + |r1 r2|), k1 and
+    k2 the atom counts and ε the machine epsilon, and equal angles give
+    exactly 0.
     """
     a1, w1, a2, w2 = (np.asarray(t, dtype=float) for t in (a1, w1, a2, w2))
     s1, c1 = np.sin(a1), np.cos(a1)

@@ -127,9 +127,9 @@ def _body_stats(a: Body) -> dict:
     }
 
 
-def body_svg(a: Body, grid: int = 256) -> str:
+def body_svg(a: Body) -> str:
     """Render a body: circle for a disc, polygon for a zonogon, rounded path otherwise."""
-    thetas = np.linspace(0.0, 2 * PI, grid, endpoint=False)
+    thetas = np.linspace(0.0, 2 * PI, 256, endpoint=False)
     radius = float(np.max(bodies.support_many(a, thetas))) or 1.0
     half = 1.05 * radius
     header = (
@@ -312,13 +312,14 @@ def _cmd_rotation_fn(args) -> int:
 # --- parser --------------------------------------------------------------
 
 
-def _int_in(lo: int, hi: float = math.inf):
-    """argparse type: an integer in [lo, hi]."""
+def _int_in(lo: int, hi: float = math.inf, or_zero: bool = False):
+    """argparse type: an integer in [lo, hi], or 0 as well when or_zero."""
+    domain = f"{'0 or ' if or_zero else ''}an integer in [{lo}, {hi}]"
 
     def parse(text: str) -> int:
         value = int(text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"must be an integer in [{lo}, {hi}], got {value}")
+        if not (lo <= value <= hi or (or_zero and value == 0)):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -356,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     max_diangles, max_nodes = inequalities.MAX_DIANGLES, rkhs.MAX_NODES
 
     def add_polygonize(p):
-        help_ = f"replace a disc by its circumscribed 2N-gon (0 keeps it), N at most {max_diangles}"
-        p.add_argument("--polygonize-disc", type=_int_in(0, max_diangles), default=0, metavar="N", help=help_)
+        help_ = f"replace a disc by its circumscribed 2N-gon: N = 0 keeps it, else 2 <= N <= {max_diangles}"
+        p.add_argument("--polygonize-disc", type=_int_in(2, max_diangles, True), default=0, metavar="N", help=help_)
 
     p_body = sub.add_parser("body", help="closed-form quantities of a body")
     p_body.add_argument("action", choices=["stats", "vertices", "svg"])

@@ -25,17 +25,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def random_atoms(
-    rng: np.random.Generator,
-    max_diangles: int = 10,
-    disc_prob: float = 0.25,
-    min_diangles: int = 1,
+    rng: np.random.Generator, max_diangles: int = 10, disc_prob: float = 0.25
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Raw draws of a random body: (angles in [0, pi), half-lengths, disc radius).
 
-    Half-lengths and the disc radius are log-uniform on HALF_LENGTH_RANGE;
-    a disc is drawn with probability disc_prob.
+    The count is uniform on 1..max_diangles; half-lengths and the disc
+    radius are log-uniform on HALF_LENGTH_RANGE, and a disc is drawn with
+    probability disc_prob.
     """
-    n = int(rng.integers(min_diangles, max_diangles + 1))
+    n = int(rng.integers(1, max_diangles + 1))
     angles = rng.uniform(0.0, PI, n)
     lens = np.exp(rng.uniform(LOG_LO, LOG_HI, n))
     disc = 0.0
@@ -44,18 +42,12 @@ def random_atoms(
     return angles, lens, disc
 
 
-def random_body(
-    rng: np.random.Generator,
-    max_diangles: int = 10,
-    disc_prob: float = 0.25,
-    min_diangles: int = 1,
-) -> Body:
-    angles, lens, disc = random_atoms(rng, max_diangles, disc_prob, min_diangles)
-    return bodies.canonicalize(angles, lens, disc)
+def random_body(rng: np.random.Generator, max_diangles: int = 10, disc_prob: float = 0.25) -> Body:
+    return bodies.canonicalize(*random_atoms(rng, max_diangles, disc_prob))
 
 
-def random_zonogon(rng: np.random.Generator, max_diangles: int = 10, min_diangles: int = 1) -> Body:
-    return random_body(rng, max_diangles=max_diangles, disc_prob=0.0, min_diangles=min_diangles)
+def random_zonogon(rng: np.random.Generator, max_diangles: int = 10) -> Body:
+    return random_body(rng, max_diangles=max_diangles, disc_prob=0.0)
 
 
 def random_lifted(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies, generators, lifted
-from .bodies import ANGLE_TOL, PI, Body, atom_form, atoms_of, fold, group_starts, merge_atoms, perimeter, support_many
+from .bodies import PI, Body, atom_form, atoms_of, fold, group_starts, merge_atoms, perimeter
 from .errors import DegenerateDirectionError, DomainError, UnsupportedRepresentationError
 from .lifted import LiftedVector, perimeter_ext
 
@@ -125,16 +125,14 @@ def _require_zonogon(x, what: str) -> None:
 
 
 def rotation_fn_F(u, v, phis) -> np.ndarray:
-    """F at each phi: the mixed area of u and v rotated by phi, which is the
-    sum over v's diangles of width(u, angle + phi) * half_length.
+    """F at each phi: the mixed area B(u, v turned by phi), one atom_form call.
 
     u and v are Bodies or atom triples; v must be a zonogon.
     """
     _require_zonogon(v, "rotation_fn_F")
     v_angles, v_weights, _ = atoms_of(v)
-    angles = v_angles[None, :] + np.asarray(phis, dtype=float)[:, None] + PI / 2
-    widths = 2.0 * support_many(u, angles.ravel()).reshape(angles.shape)
-    return widths @ v_weights
+    turned = v_angles + np.asarray(phis, dtype=float)[:, None]
+    return atom_form(*atoms_of(u), turned, v_weights, 0.0)
 
 
 def rotation_fn_E(u: Body, v: Body, phis) -> np.ndarray:
@@ -144,9 +142,7 @@ def rotation_fn_E(u: Body, v: Body, phis) -> np.ndarray:
 
 def singular_candidates(u, v) -> np.ndarray:
     """Rotation angles aligning some diangle of v with some diangle of u (Bodies or atom triples)."""
-    diffs = np.mod(atoms_of(u)[0][:, None] - atoms_of(v)[0][None, :], PI).ravel()
-    diffs[PI - diffs <= ANGLE_TOL] = 0.0
-    cands = np.unique(diffs)
+    cands = np.unique(fold((atoms_of(u)[0][:, None] - atoms_of(v)[0][None, :]).ravel()))
     return cands[group_starts(cands)]
 
 
@@ -156,14 +152,23 @@ def singular_min(u, v) -> tuple[float, float]:
     u and v are Bodies or atom triples, both zonogons with some diangle.  F
     is interval-wise concave with breakpoints exactly at the singular
     candidates, so the global minimum over [0, pi) lies in the set.
+
+    Each F is one atom_form value, off from the exact F at its candidate by
+    at most E = (k_u + k_v + 24) ε Σ|w_u| Σ|w_v|: atom_form's bound, with k
+    the atom counts and ε the machine epsilon, plus 2πε Σ|w_u| Σ|w_v| for
+    the turned angles, each rounded by at most πε.  Every candidate whose F
+    lies within 2E of the least F counts as a minimum, so which of a tie
+    wins does not depend on the order of u's and v's atoms.
     """
     _require_zonogon(u, "singular_min")
     _require_zonogon(v, "singular_min")
-    if not (len(atoms_of(u)[0]) and len(atoms_of(v)[0])):
+    (_, wu, _), (_, wv, _) = atoms_of(u), atoms_of(v)
+    if not (len(wu) and len(wv)):
         raise DomainError("singular_min needs two nonempty zonogons")
     cands = singular_candidates(u, v)
     values = rotation_fn_F(u, v, cands)
-    best = int(np.argmin(values))
+    tie = 2.0 * (len(wu) + len(wv) + 24) * np.finfo(float).eps * np.abs(wu).sum() * np.abs(wv).sum()
+    best = int(np.argmax(values <= values.min() + tie))  # the first, as the candidates ascend
     return float(cands[best]), float(values[best])
 
 

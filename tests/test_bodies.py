@@ -211,8 +211,8 @@ class TestAtomForm:
         assert shared.tobytes() == bodies.atom_form(angles, weights, radii, angles.copy(), weights.copy(), radii).tobytes()
 
     def test_matches_mpmath(self, rng):
-        # Angle addition leaves each |sin| off by O(ε) absolute, so the form is
-        # off by a few ε times Σ|w1|Σ|w2| + |r1|Σ|w2| + |r2|Σ|w1| + |r1 r2|,
+        # The documented bound is (k1 + k2 + 16)ε times Σ|w1|Σ|w2| + |r1|Σ|w2|
+        # + |r2|Σ|w1| + |r1 r2|; the form stays within 8ε times that sum,
         # near-parallel atoms (gaps 1e-13 .. 1e-6) included.
         mpmath = pytest.importorskip("mpmath")
 

@@ -168,6 +168,9 @@ class TestExitCodes:
             ["kernel", "eval", "lifted_sb.json", "--nodes", "2000000"],
             ["kernel", "eig", "--nodes", str(z.rkhs.MAX_NODES + 1)],
             ["body", "vertices", "disc.json", "--polygonize-disc", "-1"],
+            ["body", "vertices", "disc.json", "--polygonize-disc", "1"],
+            ["body", "vertices", "square.json", "--polygonize-disc", "1"],
+            ["reduce", "lifted_mixed.json", "--polygonize-disc", "1"],
             ["body", "vertices", "disc.json", "--polygonize-disc", str(z.inequalities.MAX_DIANGLES + 1)],
             ["body", "vertices", "square.json", "--polygonize-disc", "-1"],
             ["reduce", "lifted_mixed.json", "--polygonize-disc", "-1"],
@@ -495,6 +498,19 @@ def test_interp_input_error_message(fuzz_dir, name, ridge, capsys):
     # non-finite values are named before any solve is tried
     assert run(["kernel", "interp", str(fuzz_dir / name), "--ridge", ridge]) == 2
     assert capsys.readouterr().err.startswith(INTERP_ERRORS[name])
+
+
+def test_negative_zero_angle_prints_as_zero(tmp_path, capsys):
+    # -0.0 folds to +0.0, so the equal bodies print the same bytes
+    outs = []
+    for angle in ("-0.0", "0.0"):
+        body = f'{{"diangles": [{{"angle": {angle}, "d": 1.0}}], "disc": 0.0}}'
+        path = tmp_path / f"x{angle}.json"
+        path.write_text(f'{{"plus": {body}, "minus": {{"diangles": [], "disc": 0.5}}}}')
+        assert run(["lift", "scale", str(path), "--value", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert '"angle": 0.0' in outs[0]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

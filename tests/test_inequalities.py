@@ -185,6 +185,45 @@ class TestSingularMin:
         assert len(inequalities.singular_candidates(B, S)) == 0
         assert len(inequalities.singular_candidates(S, z.ORIGIN)) == 0
 
+    @staticmethod
+    def regular_tie(k):
+        # u: k unit atoms at j pi/k; v: one at pi/2k.  All k candidates give the same F.
+        return (np.arange(k) * (PI / k), np.ones(k), 0.0), (np.array([PI / (2 * k)]), np.ones(1), 0.0)
+
+    def test_regular_ties_pick_the_first_candidate(self):
+        for k in range(2, 16):
+            u, v = self.regular_tie(k)
+            cands = inequalities.singular_candidates(u, v)
+            assert len(cands) == k
+            assert z.singular_min(u, v)[0] == cands[0], k
+
+    def test_tie_ignores_atom_order(self, rng):
+        for k in range(3, 16):
+            u, v = self.regular_tie(k)
+            want = z.singular_min(u, v)[0]
+            for _ in range(24):
+                order = rng.permutation(k)
+                assert z.singular_min((u[0][order], u[1][order], 0.0), v)[0] == want, (k, order)
+
+    def test_F_within_tie_bound_of_exact(self, rng):
+        # singular_min counts F values within 2E of the least as tied, with
+        # E = (k_u + k_v + 24) ε Σ|w_u| Σ|w_v| the bound on each value's
+        # error; 50-digit F at every candidate checks that bound.
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            u, v = random_zonogon(rng, 6), random_zonogon(rng, 6)
+            cands = inequalities.singular_candidates(u, v)
+            got = z.rotation_fn_F(u, v, cands)
+            bound = (len(u.angles) + len(v.angles) + 24) * eps * u.lengths.sum() * v.lengths.sum()
+            with mpmath.workdps(50):
+                su = [(mpmath.sin(a), mpmath.cos(a), w) for a, w in zip(map(mpmath.mpf, u.angles.tolist()), u.lengths.tolist())]
+                for phi, f in zip(cands.tolist(), got.tolist()):
+                    turned = [(mpmath.mpf(b) + phi, w) for b, w in zip(v.angles.tolist(), v.lengths.tolist())]
+                    sv = [(mpmath.sin(t), mpmath.cos(t), w) for t, w in turned]
+                    want = 2 * mpmath.fsum(wa * wb * abs(sa * cb - ca * sb) for sa, ca, wa in su for sb, cb, wb in sv)
+                    assert abs(f - want) <= bound, (u, v, phi)
+
 
 class TestReducePair:
     def test_square_vs_segment(self):

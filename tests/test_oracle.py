@@ -86,6 +86,10 @@ class TestDiscPolygon:
         with pytest.raises(InvalidInputError):
             z.bodies.disc_polygon(1.0, 1)
 
+    def test_negative_radius(self):
+        with pytest.raises(InvalidInputError, match="radius must be >= 0"):
+            z.bodies.disc_polygon(-1.0, 4)
+
 
 class TestCrossValidation:
     def test_closed_forms_match_oracle(self, rng):

@@ -143,6 +143,10 @@ class TestGram:
         with pytest.raises(InvalidInputError):
             z.gram([0.3, 0.3])
 
+    def test_nested_nodes_rejected(self):
+        with pytest.raises(InvalidInputError, match="flat sequence"):
+            z.gram([[0.1, 0.2]])
+
     def test_domain_checked(self):
         with pytest.raises(DomainError):
             z.gram([0.1, 4.0])
