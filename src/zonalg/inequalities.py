@@ -33,7 +33,7 @@ CAMPAIGN_BODIES = {"iso": 2, "bm": 2, "bmgen": 4, "schwarz": 4}
 CHUNK_ENTRIES = 1 << 22
 # One trial's tensor has (2 * max_diangles)**2 entries and cannot be split.
 MAX_DIANGLES = math.isqrt(CHUNK_ENTRIES) // 2
-# Bound on the raw generator outputs of one chunk of trials.
+# Bound on the raw words draw_atoms hashes for one chunk of trials.
 DRAW_ENTRIES = 1 << 19
 
 
@@ -66,10 +66,11 @@ def campaign_values(kind: str, seed: int, trials: range, max_diangles: int = 10)
     """Per-trial (lhs, rhs, checked) of a campaign over the given trials.
 
     The inequality is lhs >= rhs on the trials where `checked` holds (bmgen
-    skips vectors of nonpositive measure).  Body b of trial t is the b-th
-    random_body drawn from trial_rng(seed, t).  Each trial's bodies are
-    padded to the largest of them, so a trial's values are the same bits
-    alone or in any batch, whatever max_diangles is.
+    skips vectors of nonpositive measure).  Body b of trial t has the atoms
+    of body b in trial t's row of generators.draw_atoms, which depends on
+    (seed, t) alone; a trial index outside [0, 2**64) raises DomainError.
+    Each trial's bodies are padded to the largest of them, so a trial's
+    values are the same bits alone or in any batch, whatever max_diangles is.
     """
     draws = generators.draw_atoms(seed, trials, CAMPAIGN_BODIES[kind], max_diangles)
     # Sorted by width, each group of equal width is one slice.

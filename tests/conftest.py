@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,43 @@ def random_body(rng, max_diangles=10):
 
 def random_lifted(rng, max_diangles=10):
     return generators.random_lifted(rng, max_diangles=max_diangles)
+
+
+# The campaigns' draw, one word at a time in Python integers: no numpy in the
+# hashing.  tests/test_generators.py holds generators.draw_atoms to it.
+
+GAMMA = 0x9E3779B97F4A7C15
+LOG_LO, LOG_HI = (math.log(h) for h in generators.HALF_LENGTH_RANGE)
+
+
+def splitmix(z):
+    """SplitMix64's finalizer (Steele, Lea and Flood 2014)."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def reference_atoms(seed, trial, body, max_diangles):
+    """(angles, half-lengths, disc radius) of body `body` of trial `trial`.
+
+    The seed's 64-bit words, low first, fold into a key; the trial key is
+    splitmix(key + trial·γ); slot s of the body is the word
+    splitmix(trial key + (body·(2m + 3) + s)·γ), laid out as the count, m
+    angles, m log-lengths, the disc coin (a disc when below 1/4) and the
+    disc's log-radius.
+    """
+    key = 0
+    for shift in range(0, max(1, seed.bit_length()), 64):
+        key = splitmix(key ^ (seed >> shift) % 2**64)
+    key = splitmix((key + trial * GAMMA) % 2**64)
+    m = max_diangles
+    first = body * (2 * m + 3)
+
+    def unit(slot):
+        return (splitmix((key + (first + slot) * GAMMA) % 2**64) >> 11) * 2.0**-53
+
+    n = 1 + ((splitmix((key + first * GAMMA) % 2**64) >> 32) * m >> 32)
+    angles = np.array([math.pi * unit(1 + j) for j in range(n)])
+    # exp of the log-lengths and the log-radius in one call, as numpy takes them
+    scaled = np.exp([LOG_LO + (LOG_HI - LOG_LO) * unit(slot) for slot in [*range(1 + m, 1 + m + n), 2 * m + 2]])
+    return angles, scaled[:n], float(scaled[n]) if unit(2 * m + 1) < 0.25 else 0.0

@@ -1,83 +1,85 @@
-"""The lockstep draw engine against numpy's SeedSequence, PCG64 and Generator.
+"""The campaigns' counter-based draw against a pure-Python integer reference.
 
-numpy is the oracle here, the installed release whatever it is: if a numpy
-release changes one of these streams, these tests fail.
+conftest.reference_atoms computes each word alone with Python integers, so
+these tests hold draw_atoms' array layout, key folding and decoding to it bit
+for bit, and then check the distributions the draw promises.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from zonalg import generators
 
-# 1-, 2- and 7-word seeds, around the 32-bit word boundaries
-SEEDS = [0, 1, 5, 2**31 - 1, 2**32 - 1, 2**32 + 7, 12345678901234567890, 2**200 + 11]
-# trial 0 and trials whose index has two 32-bit words
-TRIALS = [range(0, 46), range(2**32 - 2, 2**32 + 2)]
+from conftest import reference_atoms, splitmix
+
+# 1-, 2- and 4-word seeds, around the 32- and 64-bit word boundaries
+SEEDS = [0, 1, 5, 2**31 - 1, 2**32 - 1, 2**32 + 7, 12345678901234567890, 2**64, 2**200 + 11]
+# trial 0, trials whose index has two 32-bit words, and the last two trials
+TRIALS = [range(0, 46), range(2**32 - 2, 2**32 + 2), range(2**64 - 2, 2**64)]
+WIDTHS = [1, 2, 3, 10, 300, 1024]
 
 
-def reference_states(seed, trials):
-    return np.array([np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials])
+def within(frequency, p, n):
+    """frequency is within 5 binomial standard deviations of p over n draws."""
+    return abs(frequency - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 class TestSeeding:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_states_match_seed_sequence(self, seed):
-        for trials in TRIALS:
-            assert np.array_equal(generators.generate_states(seed, trials), reference_states(seed, trials))
+    def test_splitmix_reference_outputs(self):
+        # The first outputs of SplitMix64 seeded with 0: the finalizer of k·γ.
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+        assert [splitmix(k * 0x9E3779B97F4A7C15 % 2**64) for k in range(1, 5)] == want
 
     def test_empty_range(self):
-        assert generators.generate_states(3, range(0)).shape == (0, 4)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_raw_outputs_match_pcg64(self, seed):
-        for trials in TRIALS:
-            streams = generators.TrialStreams(seed, trials, 40)
-            streams.reserve(70)  # widens the block past the first 40 columns
-            assert streams.raw.shape == (len(trials), 80)
-            for row, t in zip(streams.raw, trials):
-                want = np.random.PCG64(np.random.SeedSequence([seed, t])).random_raw(row.size)
-                assert np.array_equal(row, want)
+        sizes, angles, lengths, radii = generators.draw_atoms(3, range(0), 4, 10)
+        assert sizes.shape == radii.shape == (0, 4) and angles.shape == lengths.shape == (0, 4, 10)
 
 
 class TestDraws:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_atoms_match_random_atoms(self, seed):
-        """50 trials x 5 widths x 6 bodies per seed: 12,000 bodies over SEEDS."""
+    def test_atoms_match_reference(self, seed):
+        """52 trials x 6 widths x 4 bodies per seed, each drawn again as a 2-body prefix."""
         discs = 0
         for trials in TRIALS:
-            for max_diangles in (1, 2, 3, 10, 300):
-                for count in (2, 4):
-                    sizes, angles, lengths, radii = generators.draw_atoms(seed, trials, count, max_diangles)
+            for m in WIDTHS:
+                four, two = (generators.draw_atoms(seed, trials, count, m) for count in (4, 2))
+                for count, (sizes, angles, lengths, radii) in ((4, four), (2, two)):
                     assert sizes.shape == radii.shape == (len(trials), count)
-                    assert angles.shape == lengths.shape == (len(trials), count, max_diangles)
-                    for i, t in enumerate(trials):
-                        rng = generators.trial_rng(seed, t)
-                        for b in range(count):
-                            want_theta, want_len, want_radius = generators.random_atoms(rng, max_diangles)
-                            n = len(want_theta)
-                            assert sizes[i, b] == n
-                            assert angles[i, b, :n].tobytes() == want_theta.tobytes()
-                            assert lengths[i, b, :n].tobytes() == want_len.tobytes()
-                            assert not angles[i, b, n:].any() and not lengths[i, b, n:].any()
-                            assert radii[i, b] == want_radius
-                            discs += want_radius > 0
+                    assert angles.shape == lengths.shape == (len(trials), count, m)
+                # body b's slots do not depend on how many bodies follow it
+                for a, b in zip(four, two):
+                    assert a[:, :2].tobytes() == b.tobytes()
+                sizes, angles, lengths, radii = four
+                for i, t in enumerate(trials):
+                    for b in range(4):
+                        want_angles, want_lengths, want_radius = reference_atoms(seed, t, b, m)
+                        n = len(want_angles)
+                        assert sizes[i, b] == n
+                        assert angles[i, b, :n].tobytes() == want_angles.tobytes()
+                        assert lengths[i, b, :n].tobytes() == want_lengths.tobytes()
+                        assert not angles[i, b, n:].any() and not lengths[i, b, n:].any()
+                        assert radii[i, b] == want_radius
+                        discs += want_radius > 0
         assert discs > 0
 
-    @pytest.mark.parametrize("m", [2, 7, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32])
-    def test_integers_match_generator(self, m):
-        """Near 2**31 about half the 32-bit words are rejected and redrawn."""
-        trials, draws = range(40), 16
-        streams = generators.TrialStreams(3, trials, 2)
-        got = np.stack([streams.integers(m) for _ in range(draws)], axis=1)
-        for row, t in zip(got, trials):
-            rng = generators.trial_rng(3, t)
-            assert row.tolist() == [rng.integers(1, m + 1) for _ in range(draws)]
-        if m in (2**31 + 1, 3 * 2**30 + 1):
-            # more 64-bit outputs read than draws / 2, so rejections happened
-            assert streams.pos.sum() > len(trials) * draws // 2
-            assert streams.raw.shape[1] > 2
-
-    def test_size_one_draws_no_integer(self):
-        streams = generators.TrialStreams(4, range(10), 4)
-        assert streams.integers(1).tolist() == [1] * 10
-        assert not streams.pos.any() and not streams.has.any()
+    def test_distributions(self):
+        """50,000 bodies at width 10: counts, discs, angles and half-lengths."""
+        m = 10
+        sizes, angles, lengths, radii = generators.draw_atoms(2026, range(12_500), 4, m)
+        bodies = sizes.size
+        counts = np.bincount(sizes.ravel(), minlength=m + 1)
+        assert counts[0] == 0 and len(counts) == m + 1
+        assert all(within(c / bodies, 1 / m, bodies) for c in counts[1:]), counts
+        discs = radii[radii > 0]
+        assert within(len(discs) / bodies, 0.25, bodies)
+        filled = np.arange(m) < sizes[..., None]
+        theta, half = angles[filled], lengths[filled]
+        assert theta.min() >= 0.0 and theta.max() < math.pi
+        assert within(np.count_nonzero(theta < math.pi / 2) / theta.size, 0.5, theta.size)
+        # log-uniform: half of the half-lengths fall below the geometric mean of the range
+        lo, hi = generators.HALF_LENGTH_RANGE
+        for r in (half, discs):
+            assert lo <= r.min() and r.max() < hi
+            assert within(np.count_nonzero(r < math.sqrt(lo * hi)) / r.size, 0.5, r.size)

@@ -13,7 +13,7 @@ from zonalg.errors import (
 )
 from zonalg.lifted import DISC_VECTOR, LiftedVector
 
-from conftest import random_body, random_lifted, random_zonogon
+from conftest import random_body, random_lifted, random_zonogon, reference_atoms
 
 S = UNIT_SQUARE
 B = UNIT_DISC
@@ -380,20 +380,26 @@ class TestEqualityCase:
 
 
 def reference_campaign(kind, trials, seed, max_diangles, tol):
-    """Per trial (lhs, rhs) from the per-object forms (None when bmgen skips it), and the violation count."""
+    """Per trial (lhs, rhs) from the per-object forms (None when bmgen skips it), and the violation count.
+
+    Each trial's bodies come from the scalar reference draw, one Body at a time.
+    """
     pairs, violations = [], 0
     for i in range(trials):
-        rng = generators.trial_rng(seed, i)
+        drawn = [
+            bodies.canonicalize(*reference_atoms(seed, i, b, max_diangles))
+            for b in range(inequalities.CAMPAIGN_BODIES[kind])
+        ]
         if kind == "bm":
-            u, v = random_body(rng, max_diangles), random_body(rng, max_diangles)
+            u, v = drawn
             lhs = math.sqrt(z.area(u + v))
             rhs = math.sqrt(z.area(u)) + math.sqrt(z.area(v))
         else:
-            x = random_lifted(rng, max_diangles)
+            x = z.lift(*drawn[:2])
             if kind == "iso":
                 lhs, rhs = z.perimeter_ext(x) ** 2, 4 * PI * z.measure_ext(x)
             else:
-                y = random_lifted(rng, max_diangles)
+                y = z.lift(*drawn[2:])
                 if kind == "bmgen":
                     if z.measure_ext(x) <= 0 or z.measure_ext(y) <= 0:
                         pairs.append(None)
@@ -473,6 +479,14 @@ class TestCampaign:
     def test_trial_bits_do_not_depend_on_batch_at_width_300(self, kind):
         # Each trial is padded to its own largest body, not to max_diangles.
         self.assert_trial_bits_alone_as_in_batch(kind, 300)
+
+    def test_trial_index_below_2_64(self):
+        # draw_atoms' counter is a uint64, so trial 2**64 would repeat trial 0
+        lhs, rhs, checked = inequalities.campaign_values("iso", 3, range(2**64 - 2, 2**64))
+        assert len(lhs) == len(rhs) == len(checked) == 2
+        for trials in (range(2**64 - 1, 2**64 + 1), range(-1, 1)):
+            with pytest.raises(DomainError):
+                inequalities.campaign_values("iso", 3, trials)
 
     def test_random_atoms_makes_the_random_body_draws(self):
         for seed in range(20):
