@@ -106,7 +106,7 @@ def draw_atoms(seed: int, trials: range, count: int, max_diangles: int):
     key = 0
     for shift in range(0, max(1, seed.bit_length()), 64):
         key = _mix(key ^ seed >> shift & M64)
-    # the trial indices in uint64, where a negative step wraps to the same values
+    # the trial indices in uint64; arithmetic mod 2**64 handles a negative step
     t = trials.start % 2**64 + trials.step % 2**64 * np.arange(len(trials), dtype=np.uint64)
     m, slots = max_diangles, 2 * max_diangles + 3
     counters = np.arange(count * slots, dtype=np.uint64).reshape(count, slots) * GAMMA

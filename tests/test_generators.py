@@ -12,7 +12,7 @@ import pytest
 
 from zonalg import generators
 
-from conftest import reference_atoms, splitmix
+from conftest import GAMMA, reference_atoms, splitmix
 
 # 1-, 2- and 4-word seeds, around the 32- and 64-bit word boundaries
 SEEDS = [0, 1, 5, 2**31 - 1, 2**32 - 1, 2**32 + 7, 12345678901234567890, 2**64, 2**200 + 11]
@@ -30,7 +30,7 @@ class TestSeeding:
     def test_splitmix_reference_outputs(self):
         # The first outputs of SplitMix64 seeded with 0: the finalizer of k·γ.
         want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
-        assert [splitmix(k * 0x9E3779B97F4A7C15 % 2**64) for k in range(1, 5)] == want
+        assert [splitmix(k * GAMMA % 2**64) for k in range(1, 5)] == want
 
     def test_empty_range(self):
         sizes, angles, lengths, radii = generators.draw_atoms(3, range(0), 4, 10)
