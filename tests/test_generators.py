@@ -2,7 +2,8 @@
 
 conftest.reference_atoms computes each word alone with Python integers, so
 these tests hold draw_atoms' array layout, key folding and decoding to it bit
-for bit, and then check the distributions the draw promises.
+for bit, and then check the distributions the draw promises.  TestSeeding also
+pins trial_rng, the tests' fuzz source, to numpy's SeedSequence and PCG64.
 """
 
 import math
@@ -21,6 +22,10 @@ TRIALS = [range(0, 46), range(2**32 - 2, 2**32 + 2), range(2**64 - 2, 2**64)]
 WIDTHS = [1, 2, 3, 10, 300, 1024]
 
 
+def reference_states(seed, trials):
+    return np.array([np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials])
+
+
 def within(frequency, p, n):
     """frequency is within 5 binomial standard deviations of p over n draws."""
     return abs(frequency - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
@@ -31,6 +36,23 @@ class TestSeeding:
         # The first outputs of SplitMix64 seeded with 0: the finalizer of k·γ.
         want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
         assert [splitmix(k * GAMMA % 2**64) for k in range(1, 5)] == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_match_seed_sequence(self, seed):
+        """trial_rng(seed, t) is seeded by SeedSequence([seed, t]), so the fuzz sets replay."""
+        for trials in TRIALS:
+            rngs = [generators.trial_rng(seed, t) for t in trials]
+            got = [rng.bit_generator.seed_seq.generate_state(4, np.uint64) for rng in rngs]
+            assert np.array_equal(got, reference_states(seed, trials))
+            for rng, t in zip(rngs, trials):
+                assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence([seed, t])).state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_outputs_match_pcg64(self, seed):
+        for trials in TRIALS:
+            for t in trials:
+                want = np.random.PCG64(np.random.SeedSequence([seed, t])).random_raw(80)
+                assert np.array_equal(generators.trial_rng(seed, t).bit_generator.random_raw(80), want)
 
     def test_empty_range(self):
         sizes, angles, lengths, radii = generators.draw_atoms(3, range(0), 4, 10)
