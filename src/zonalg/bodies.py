@@ -262,6 +262,79 @@ def atom_form(a1, w1, r1, a2, w2, r2):
     return 2.0 * cross + 2.0 * (r1 * w2.sum(-1) + r2 * w1.sum(-1)) + PI * r1 * r2
 
 
+def _sin_prefix(angles, weights):
+    """sin and cos of the angles, and the running sums of w cos and w sin
+    along the last axis, each with a leading 0.
+
+    Read at i + 1, a running sum holds the atoms up to i; read at i, the
+    atoms before i.  For ascending angles in [0, pi) and j <= i,
+    |sin(a_i - a_j)| = sin a_i cos a_j - cos a_i sin a_j, and for j > i it is
+    the negative, so each sweep over |sin| reads these two sums at i.
+    """
+    sin, cos = np.sin(angles), np.cos(angles)
+    shape = np.shape(weights)
+    sums = np.zeros((2, *shape[:-1], shape[-1] + 1))
+    np.cumsum(weights * cos, axis=-1, out=sums[0, ..., 1:])
+    np.cumsum(weights * sin, axis=-1, out=sums[1, ..., 1:])
+    return sin, cos, sums[0], sums[1]
+
+
+def sin_sweep(angles, weights):
+    """Σ_j w_j |sin(a_i - a_j)| at every a_i, in O(k) for sorted angles.
+
+    The angles ascend in [0, pi) along the last axis; angles and weights are
+    batched over leading axes.  Each value is two running sums of w cos and
+    w sin (see _sin_prefix), up to and including i, less the rest.
+    """
+    sin, cos, below_cos, below_sin = _sin_prefix(angles, weights)
+    return sin * (2.0 * below_cos[..., 1:] - below_cos[..., -1:]) + cos * (below_sin[..., -1:] - 2.0 * below_sin[..., 1:])
+
+
+def sweep_form(angles, weights, radii):
+    """Mixed areas B(x_p, x_q) of c signed atom vectors on one list of atoms,
+    batched over leading axes, in O(c²k + k log k) time and memory.
+
+    The atoms have angles (..., k) in [0, pi), in any order, and k >= 1.
+    Vector p gives atom i the weight weights[..., p, i] (0 where the atom is
+    not one of its own) and has the disc radius radii[..., p].  Returns the
+    (..., c, c) array of B(x_p, x_q), B as in atom_form; B(x_p, x_p) is the
+    area or measure_ext of x_p.
+
+    Each item's atoms are sorted once, stably.  A pair j, i with a_j before
+    a_i is taken once, later angle first: sin(a_i - a_j) >= 0, so
+    Σ_{j<i} w_j |sin(a_i - a_j)| = sin a_i C_i - cos a_i S_i, with C and S
+    the running sums of w cos and w sin over the atoms before i.  These
+    exclusive sums make a lone atom's B exactly 0.  Every sum runs one term
+    at a time in sorted order, so atoms of weight 0 (zero padding) move no
+    bit of a value.
+
+    Error bound, to first order in ε, the machine epsilon, with sin and cos
+    within 1 ulp (running sums as in Higham 2002, *Accuracy and Stability of
+    Numerical Algorithms*, §4.2).  Let W_i be the Σ|w| of one vector's atoms
+    before atom i.  Each running sum read at i is off by at most
+    (i + 2)·ε/2·W_i, so a row sin a_i C_i - cos a_i S_i is off by at most
+    (0.71 i + 3.5)·ε·W_i, and its product with w_i and the sum over the rows
+    add k·ε/2·|w_i|·W_i more.  With the disc terms and π's rounding,
+
+        |B - B_exact| <= (3k + 10)·ε·(Σ|w_p|Σ|w_q| + |r_p|Σ|w_q| + |r_q|Σ|w_p| + |r_p r_q|),
+
+    k the number of atoms to which x_p or x_q gives a nonzero weight.  A
+    row's error scales with the W_i before it, so when the weights are
+    positive and any two angles lie more than (0.71k + 3.5)·ε apart mod pi,
+    every row is nonnegative and so is the area, whatever the weights.
+    """
+    order = np.argsort(angles, axis=-1, kind="stable")
+    a = np.take_along_axis(angles, order, axis=-1)
+    w = np.take_along_axis(weights, order[..., None, :], axis=-1)
+    sin, cos, below_cos, below_sin = _sin_prefix(a[..., None, :], w)
+    below = sin * below_cos[..., :-1] - cos * below_sin[..., :-1]
+    # once[p, q]: the pairs of an atom of x_p with an earlier atom of x_q
+    once = np.cumsum(w[..., :, None, :] * below[..., None, :, :], axis=-1)[..., -1]
+    disc = radii[..., :, None] * np.cumsum(w, axis=-1)[..., None, :, -1]
+    pairs = PI * radii[..., :, None] * radii[..., None, :]
+    return 2.0 * (once + np.swapaxes(once, -1, -2)) + 2.0 * (disc + np.swapaxes(disc, -1, -2)) + pairs
+
+
 def area(a: Body) -> float:
     return float(atom_form(*a.atoms, *a.atoms))
 

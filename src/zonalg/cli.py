@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="fuzz an inequality")
     p_check.add_argument("inequality", choices=sorted(inequalities.CAMPAIGN_BODIES))
-    p_check.add_argument("--trials", type=_int_in(0), default=1000)
+    # Trial indices lie in [0, 2**64), where draw_atoms' counter would wrap.
+    p_check.add_argument("--trials", type=_int_in(0, 2**64), default=1000, help="at most 2**64")
     p_check.add_argument("--seed", type=_int_in(0), default=0)
     p_check.add_argument("--max-diangles", type=_int_in(1, max_diangles), default=10, help=f"at most {max_diangles}")
     p_check.add_argument("--tol", type=_finite_at_least(0.0), default=1e-9, help="finite, >= 0")

@@ -3,7 +3,9 @@
 The generalized isoperimetric and Brunn-Minkowski inequalities are
 theorems; the campaign exists to fuzz the implementation, and the reduction
 pipeline replays the constructive proof: rotate one zonogon into singular
-position, cancel the parallel pair, repeat until one side is trivial.
+position, cancel the parallel pair, repeat until one side is trivial.  The
+campaign takes all of a trial's mixed areas from one sorted sweep over its
+atoms (bodies.sweep_form); the reduction evaluates F with atom_form.
 """
 
 from __future__ import annotations
@@ -29,35 +31,39 @@ NEAR_CANCEL = 1e-12
 # Bodies drawn per trial, in draw order.  iso and bm draw (u, v); bmgen and
 # schwarz draw x = [u, v] and then y = [u', v'].
 CAMPAIGN_BODIES = {"iso": 2, "bm": 2, "bmgen": 4, "schwarz": 4}
-# Bound on one batch's (n, k, k) sin·cos products; atom_form holds two at once.
-CHUNK_ENTRIES = 1 << 22
-# One trial's tensor has (2 * max_diangles)**2 entries and cannot be split.
-MAX_DIANGLES = math.isqrt(CHUNK_ENTRIES) // 2
+# The largest --max-diangles (and --polygonize-disc N) the CLI takes.
+MAX_DIANGLES = 1024
 # Bound on the raw words draw_atoms hashes for one chunk of trials.
 DRAW_ENTRIES = 1 << 19
 
 
-def _body(atoms, i: int):
-    """Atoms of body i, per trial."""
-    return tuple(t[:, i] for t in atoms)
-
-
 def _values(kind: str, atoms):
-    """Per-trial (lhs, rhs, checked) from the padded atoms of each trial's bodies."""
-    all_checked = np.ones(len(atoms[2]), dtype=bool)
-    u, v = _body(atoms, 0), _body(atoms, 1)
-    if kind == "bm":
-        s = np.concatenate([u[0], v[0]], axis=-1), np.concatenate([u[1], v[1]], axis=-1), u[2] + v[2]
-        lhs = np.sqrt(atom_form(*s, *s))
-        return lhs, np.sqrt(atom_form(*u, *u)) + np.sqrt(atom_form(*v, *v)), all_checked
-    x = bodies.signed_atoms(u, v)
-    ox, mx = perimeter(x), atom_form(*x, *x)
+    """Per-trial (lhs, rhs, checked) from the zero-padded atoms of each trial's bodies.
+
+    bm's vectors are u and v, the others' x = [u, v] (and y = [u', v']).
+    Their atoms form one list for bodies.sweep_form, each vector's weight
+    row zero off its own atoms.
+    """
+    drawn = [tuple(t[:, i] for t in atoms) for i in range(CAMPAIGN_BODIES[kind])]
+    vectors = drawn if kind == "bm" else [bodies.signed_atoms(*drawn[i : i + 2]) for i in range(0, len(drawn), 2)]
+    angles = np.concatenate([v[0] for v in vectors], axis=-1)
+    trials, k = angles.shape
+    weights = np.zeros((trials, len(vectors), k))
+    for p, (_, w, _) in enumerate(vectors):
+        weights[:, p, p * w.shape[-1] : (p + 1) * w.shape[-1]] = w
+    x = angles, weights, np.stack([v[2] for v in vectors], axis=-1)
+    b = bodies.sweep_form(*x)
+    all_checked = np.ones(trials, dtype=bool)
+    if kind == "bm":  # area(u + v) = area(u) + 2 B(u, v) + area(v)
+        mu, mv = b[:, 0, 0], b[:, 1, 1]
+        return np.sqrt(mu + 2.0 * b[:, 0, 1] + mv), np.sqrt(mu) + np.sqrt(mv), all_checked
+    o = perimeter(x)
     if kind == "iso":
-        return ox * ox, 4.0 * PI * mx, all_checked
-    y = bodies.signed_atoms(_body(atoms, 2), _body(atoms, 3))
-    oy, my, bxy = perimeter(y), atom_form(*y, *y), atom_form(*x, *y)
+        return o[:, 0] * o[:, 0], 4.0 * PI * b[:, 0, 0], all_checked
+    mx, my, bxy = b[:, 0, 0], b[:, 1, 1], b[:, 0, 1]
     if kind == "bmgen":
         return bxy * bxy, mx * my, (mx > 0) & (my > 0)
+    ox, oy = o[:, 0], o[:, 1]
     dx, dy = ox * ox - 4.0 * PI * mx, oy * oy - 4.0 * PI * my
     return np.sqrt(np.maximum(dx, 0.0)) * np.sqrt(np.maximum(dy, 0.0)), ox * oy - 4.0 * PI * bxy, all_checked
 
@@ -69,24 +75,12 @@ def campaign_values(kind: str, seed: int, trials: range, max_diangles: int = 10)
     skips vectors of nonpositive measure).  Body b of trial t has the atoms
     of body b in trial t's row of generators.draw_atoms, which depends on
     (seed, t) alone; a trial index outside [0, 2**64) raises DomainError.
-    Each trial's bodies are padded to the largest of them, so a trial's
-    values are the same bits alone or in any batch, whatever max_diangles is.
+    Each trial's bodies stay zero-padded to max_diangles, and every sum runs
+    within one trial's row, so a trial's values are the same bits alone or
+    in any batch.
     """
-    draws = generators.draw_atoms(seed, trials, CAMPAIGN_BODIES[kind], max_diangles)
-    # Sorted by width, each group of equal width is one slice.
-    order = np.argsort(draws[0].max(axis=1, initial=0), kind="stable")
-    sizes, angles, lengths, radii = (a[order] for a in draws)
-    widths = sizes.max(axis=1, initial=0)
-    out = np.zeros((3, len(order)))
-    start = 0
-    while start < len(order):
-        w = int(widths[start])
-        stop = min(int(np.searchsorted(widths, w, "right")), start + max(1, CHUNK_ENTRIES // (2 * w) ** 2))
-        atoms = angles[start:stop, :, :w], lengths[start:stop, :, :w], radii[start:stop]
-        out[:, order[start:stop]] = _values(kind, atoms)
-        start = stop
-    lhs, rhs, checked = out
-    return lhs, rhs, checked.astype(bool)
+    _, angles, lengths, radii = generators.draw_atoms(seed, trials, CAMPAIGN_BODIES[kind], max_diangles)
+    return _values(kind, (angles, lengths, radii))
 
 
 def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: float = TOL_ABS) -> dict:

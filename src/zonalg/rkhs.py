@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bodies
-from .bodies import PI, frozen_array, segment, support_many
+from .bodies import PI, frozen_array, segment, sin_sweep, support_many
 from .errors import DomainError, InvalidInputError, NumericError
 from .lifted import LiftedVector, lift
 
@@ -132,16 +132,8 @@ def grid_eigenvalues(n: int) -> np.ndarray:
 
 
 def _gram_apply(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """G c for ascending circle points theta in [0, pi), by prefix sums.
-
-    For j <= i, |sin(t_i - t_j)| = sin t_i cos t_j - cos t_i sin t_j, and
-    for j > i it is the negative, so each row is two prefix sums of
-    c cos t and c sin t read at i.
-    """
-    sin, cos = np.sin(theta), np.cos(theta)
-    below_cos, below_sin = np.cumsum(c * cos), np.cumsum(c * sin)
-    abs_sin = sin * (2.0 * below_cos - below_cos[-1]) + cos * (below_sin[-1] - 2.0 * below_sin)
-    return 2.0 * c.sum() - (PI / 2.0) * abs_sin
+    """G c for ascending circle points theta in [0, pi), by bodies.sin_sweep."""
+    return 2.0 * c.sum() - (PI / 2.0) * sin_sweep(theta, c)
 
 
 def _green_inverse(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -270,6 +270,97 @@ class TestAtomForm:
                 assert bodies.sup_norm(x) == bodies.sup_norm(a)
 
 
+def sweep_vectors(rng, sizes, gaps):
+    """Angles, weights (2, k) and radii of two vectors with sizes[0] and sizes[1] atoms on one list.
+
+    About half the atoms sit within a gap of 10**gaps of the atom before
+    them, of either vector, or of π across the wrap.
+    """
+    k = sum(sizes)
+    angles = rng.uniform(0, PI, k)
+    near = rng.random(k) < 0.5
+    angles[near] = np.roll(angles, 1)[near] + 10.0 ** rng.uniform(*gaps, np.count_nonzero(near)) * rng.choice([-1, 1], np.count_nonzero(near))
+    angles = bodies.fold(angles)
+    owner = rng.permutation(np.repeat([0, 1], sizes))
+    weights = np.where(owner == np.arange(2)[:, None], rng.uniform(-1, 1, k), 0.0)
+    return angles, weights, rng.uniform(-1, 1, 2) * (rng.random(2) < 0.5)
+
+
+class TestSweepForm:
+    def test_sin_sweep_matches_dense_rows(self, rng):
+        angles = np.sort(rng.uniform(0, PI, (3, 2, 9)), axis=-1)
+        weights = rng.uniform(-1, 1, (3, 2, 9))
+        dense = (np.abs(np.sin(angles[..., :, None] - angles[..., None, :])) @ weights[..., :, None])[..., 0]
+        got = bodies.sin_sweep(angles, weights)
+        assert got.shape == (3, 2, 9)
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.abs(weights).sum()
+        assert got[1, 0].tobytes() == bodies.sin_sweep(angles[1, 0], weights[1, 0]).tobytes()
+
+    def test_matches_mpmath_within_documented_bound(self, rng):
+        # 1-40 atoms a side, near-parallel gaps 1e-13 .. 1e-6: x·x, y·y and x·y
+        # from one call, each held to (3k + 10)ε times Σ|w_p|Σ|w_q| + |r_p|Σ|w_q|
+        # + |r_q|Σ|w_p| + |r_p r_q|, k the atoms of x_p and x_q.
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        for k in range(1, 41):
+            for sizes in ((k, k), (k, int(rng.integers(1, 41)))):
+                angles, weights, radii = sweep_vectors(rng, sizes, (-13, -6))
+                got = bodies.sweep_form(angles, weights, radii)
+                with mpmath.workdps(50):
+                    sc = [(mpmath.sin(t), mpmath.cos(t)) for t in map(mpmath.mpf, angles.tolist())]
+                    for p in range(2):
+                        for q in range(2):
+                            cross = mpmath.fsum(
+                                mpmath.mpf(weights[p, i]) * weights[q, j] * abs(sc[i][0] * sc[j][1] - sc[i][1] * sc[j][0])
+                                for i in range(len(sc))
+                                for j in range(len(sc))
+                                if weights[p, i] and weights[q, j]
+                            )
+                            rp, rq = (mpmath.mpf(radii[t]) for t in (p, q))
+                            want = 2 * cross + 2 * (rp * mpmath.fsum(weights[q]) + rq * mpmath.fsum(weights[p])) + mpmath.pi * rp * rq
+                            err = float(abs(mpmath.mpf(float(got[p, q])) - want))
+                            sp, sq = np.abs(weights[p]).sum(), np.abs(weights[q]).sum()
+                            atoms = np.count_nonzero(weights[p] != 0) if p == q else sum(sizes)
+                            scale = sp * sq + abs(radii[p]) * sq + abs(radii[q]) * sp + abs(radii[p] * radii[q])
+                            assert err <= (3 * atoms + 10) * eps * scale, (k, p, q)
+
+    def test_lone_atom_is_exactly_zero(self, rng):
+        for _ in range(200):
+            angle, weight = rng.uniform(0, PI), rng.uniform(-4, 4)
+            assert bodies.sweep_form(np.array([angle]), np.array([[weight]]), np.zeros(1))[0, 0] == 0.0
+
+    def test_near_parallel_positive_atoms_have_nonnegative_area(self, rng):
+        # Each row's error scales with the weights before it, so no weight ratio can flip its sign.
+        for k in [2] * 200 + list(range(3, 41)):
+            for start in (rng.uniform(0, PI), 0.0, PI - 1e-9):
+                gaps = 10.0 ** rng.uniform(-13, -6, k - 1)
+                angles = np.mod(start + np.concatenate([[0.0], np.cumsum(gaps)]), PI)
+                weights = 10.0 ** rng.uniform(-6, 3, (1, k))
+                assert bodies.sweep_form(angles, weights, np.zeros(1))[0, 0] >= 0.0
+
+    def test_zero_atoms_move_no_bit(self, rng):
+        for k in range(1, 30):
+            angles, weights, radii = sweep_vectors(rng, (k, int(rng.integers(1, 30))), (-13, -1))
+            want = bodies.sweep_form(angles, weights, radii).tobytes()
+            for pad in (1, 5, 40):
+                # zero atoms anywhere in the list, two of them at angle 0; the atoms keep their order
+                zero = rng.permutation(np.repeat([False, True], [len(angles), pad + 2]))
+                padded_angles, padded_weights = np.zeros(len(zero)), np.zeros((2, len(zero)))
+                padded_angles[~zero], padded_weights[:, ~zero] = angles, weights
+                padded_angles[zero] = np.concatenate([rng.uniform(0, PI, pad), [0.0, 0.0]])
+                assert bodies.sweep_form(padded_angles, padded_weights, radii).tobytes() == want
+
+    def test_batch_rows_equal_single_calls(self, rng):
+        angles = rng.uniform(0, PI, (2, 3, 8))
+        weights = rng.uniform(-1, 1, (2, 3, 2, 8)) * (rng.random((2, 3, 2, 8)) < 0.7)
+        radii = rng.uniform(-1, 1, (2, 3, 2))
+        batch = bodies.sweep_form(angles, weights, radii)
+        assert batch.shape == (2, 3, 2, 2)
+        for i in range(2):
+            for j in range(3):
+                assert batch[i, j].tobytes() == bodies.sweep_form(angles[i, j], weights[i, j], radii[i, j]).tobytes()
+
+
 def two_loop_vertices(a):
     """Vertices by the walk written as two loops of scalar steps, the reference for z.vertices."""
     if not len(a.angles):

@@ -155,6 +155,7 @@ class TestExitCodes:
             ["kernel", "interp"],
             ["lift", "add", "lifted_sb.json"],
             ["check", "iso", "--trials", "-1"],
+            ["check", "iso", "--trials", str(2**64 + 1), "--seed", "1"],
             ["check", "bm", "--max-diangles", "0"],
             ["check", "iso", "--max-diangles", "1025"],
             ["check", "iso", "--tol", "nan"],
@@ -237,7 +238,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
     def test_max_diangles_at_bound_runs(self, capsys):
-        # The largest width whose (2 * m)**2 sine entries fit in CHUNK_ENTRIES.
+        # The largest width the CLI takes, MAX_DIANGLES: one trial of 4 * 1024 atoms.
         assert run(["check", "bmgen", "--trials", "1", "--max-diangles", "1024"]) == 0
         assert json.loads(capsys.readouterr().out)["violations"] == 0
 

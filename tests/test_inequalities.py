@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,7 @@ class TestCampaign:
     def test_empty_campaign(self, kind):
         got = inequalities.campaign(kind, 0, 3, 10, 1e-9)
         assert got["violations"] == 0 and got["min_slack"] is None
+        assert all(len(t) == 0 for t in inequalities.campaign_values(kind, 3, range(0)))
         assert got.get("checked", 0) == 0
 
     @staticmethod
@@ -470,15 +472,35 @@ class TestCampaign:
     def test_trial_bits_do_not_depend_on_batch(self, kind, monkeypatch):
         self.assert_trial_bits_alone_as_in_batch(kind, 10)
         whole = inequalities.campaign(kind, 300, 11, 10, 1e-9)
-        # draw chunks of 7 trials (2 m + 3 outputs per body), sine batches of at most 7 trials
+        # draw chunks of 7 trials (2 m + 3 outputs per body)
         monkeypatch.setattr(inequalities, "DRAW_ENTRIES", 7 * 23 * inequalities.CAMPAIGN_BODIES[kind])
-        monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 7 * 20 * 20)
         assert inequalities.campaign(kind, 300, 11, 10, 1e-9) == whole
 
     @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
     def test_trial_bits_do_not_depend_on_batch_at_width_300(self, kind):
-        # Each trial is padded to its own largest body, not to max_diangles.
+        # Every trial is padded to max_diangles, and sweep_form's zero atoms move no bit.
         self.assert_trial_bits_alone_as_in_batch(kind, 300)
+
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_campaign_never_calls_atom_form(self, kind, monkeypatch):
+        want = inequalities.campaign(kind, 60, 5, 10, 1e-9)
+
+        def banned(*args):
+            raise AssertionError("the campaign called atom_form")
+
+        monkeypatch.setattr(bodies, "atom_form", banned)
+        monkeypatch.setattr(inequalities, "atom_form", banned)
+        assert inequalities.campaign(kind, 60, 5, 10, 1e-9) == want
+
+    def test_wide_campaign_memory_is_bounded(self):
+        # 20 trials of 4 bodies of up to 1024 atoms: no (trials, k, k) array
+        tracemalloc.start()
+        try:
+            inequalities.campaign("bmgen", 20, 3, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_trial_index_below_2_64(self):
         # draw_atoms' counter is a uint64, so trial 2**64 would repeat trial 0
