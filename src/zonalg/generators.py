@@ -1,11 +1,9 @@
-"""Seeded random bodies and lifted vectors for fuzz campaigns.
+"""The one random draw: the atoms of seeded random bodies.
 
-draw_atoms is the campaigns' draw.  Each word it reads is a hash of (seed,
-trial, body, slot), so a trial's bodies do not depend on the other trials
-drawn with it, on the order trials run in, or on numpy's generator
-algorithms.  random_atoms draws from the same distributions with a numpy
-Generator, such as trial_rng(seed, trial); it and the random_* builders are
-the tests' fuzz source.
+draw_atoms is the draw of the fuzz campaigns, and the tests take their fuzz
+bodies from it too.  Each word it reads is a hash of (seed, trial, body,
+slot), so a trial's bodies do not depend on the other trials drawn with it,
+on the order trials run in, or on numpy's random generators.
 """
 
 from __future__ import annotations
@@ -14,58 +12,14 @@ import math
 
 import numpy as np
 
-from . import bodies
-from .bodies import PI, Body
+from .bodies import PI
 from .errors import DomainError
-from .lifted import LiftedVector, lift
 
 HALF_LENGTH_RANGE = (0.01, 10.0)
 LOG_LO, LOG_HI = (math.log(h) for h in HALF_LENGTH_RANGE)
 LOG_SPAN = LOG_HI - LOG_LO
 DISC_PROB = 0.25
 
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
-
-
-def random_atoms(
-    rng: np.random.Generator, max_diangles: int = 10, disc_prob: float = DISC_PROB
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Raw draws of a random body: (angles in [0, pi), half-lengths, disc radius).
-
-    The count is uniform on 1..max_diangles; half-lengths and the disc
-    radius are log-uniform on HALF_LENGTH_RANGE, and a disc is drawn with
-    probability disc_prob.
-    """
-    n = int(rng.integers(1, max_diangles + 1))
-    angles = rng.uniform(0.0, PI, n)
-    lens = np.exp(rng.uniform(LOG_LO, LOG_HI, n))
-    disc = 0.0
-    if disc_prob > 0 and rng.random() < disc_prob:
-        disc = float(np.exp(rng.uniform(LOG_LO, LOG_HI)))
-    return angles, lens, disc
-
-
-def random_body(rng: np.random.Generator, max_diangles: int = 10, disc_prob: float = DISC_PROB) -> Body:
-    return bodies.canonicalize(*random_atoms(rng, max_diangles, disc_prob))
-
-
-def random_zonogon(rng: np.random.Generator, max_diangles: int = 10) -> Body:
-    return random_body(rng, max_diangles=max_diangles, disc_prob=0.0)
-
-
-def random_lifted(
-    rng: np.random.Generator, max_diangles: int = 10, disc_prob: float = DISC_PROB
-) -> LiftedVector:
-    return lift(
-        random_body(rng, max_diangles, disc_prob),
-        random_body(rng, max_diangles, disc_prob),
-    )
-
-
-# --- counter-based draws -------------------------------------------------
-#
 # Every raw 64-bit word is a pure function of (seed, trial, body, slot), the
 # counter-based design of Salmon et al. 2011 ("Parallel random numbers: as
 # easy as 1, 2, 3") with SplitMix64's finalizer as the hash (Steele, Lea and
@@ -87,7 +41,11 @@ def _mix(z):
 
 
 def draw_atoms(seed: int, trials: range, count: int, max_diangles: int):
-    """The raw atoms of `count` random bodies per trial, with random_atoms' distributions.
+    """The raw atoms of `count` random bodies per trial.
+
+    A body's count is uniform on 1..max_diangles, its angles uniform on
+    [0, pi), and its half-lengths and disc radius log-uniform on
+    HALF_LENGTH_RANGE; it has a disc with probability DISC_PROB.
 
     Trial t's key is _mix(k + t·GAMMA), where k folds the seed's 64-bit words,
     low first, through _mix.  Slot s of body b reads the word

@@ -35,6 +35,8 @@ CAMPAIGN_BODIES = {"iso": 2, "bm": 2, "bmgen": 4, "schwarz": 4}
 MAX_DIANGLES = 1024
 # Bound on the raw words draw_atoms hashes for one chunk of trials.
 DRAW_ENTRIES = 1 << 19
+# Bound on the (angle, u-atom, v-atom) entries of one atom_form call in rotation_fn_F.
+F_ENTRIES = 1 << 18
 
 
 def _values(kind: str, atoms):
@@ -120,14 +122,21 @@ def _require_zonogon(x, what: str) -> None:
 
 
 def rotation_fn_F(u, v, phis) -> np.ndarray:
-    """F at each phi: the mixed area B(u, v turned by phi), one atom_form call.
+    """F at each phi: the mixed area B(u, v turned by phi), by atom_form.
 
-    u and v are Bodies or atom triples; v must be a zonogon.
+    u and v are Bodies or atom triples; v must be a zonogon.  The angles go
+    to atom_form in chunks of at most F_ENTRIES (angle, u-atom, v-atom)
+    entries, so memory stays O(F_ENTRIES + N) for N angles; atom_form's
+    batch items are independent, so each F has the same bits in any chunk.
+    Time is still O(N·k_u·k_v) for k_u and k_v atoms, until the singular
+    search moves onto a sorted |sin| sweep.
     """
     _require_zonogon(v, "rotation_fn_F")
-    v_angles, v_weights, _ = atoms_of(v)
-    turned = v_angles + np.asarray(phis, dtype=float)[:, None]
-    return atom_form(*atoms_of(u), turned, v_weights, 0.0)
+    u_atoms, (v_angles, v_weights, _) = atoms_of(u), atoms_of(v)
+    phis = np.asarray(phis, dtype=float)
+    step = max(1, F_ENTRIES // max(1, len(u_atoms[0]) * len(v_angles)))
+    turned = (v_angles + phis[i : i + step, None] for i in range(0, max(1, len(phis)), step))
+    return np.concatenate([atom_form(*u_atoms, t, v_weights, 0.0) for t in turned])
 
 
 def rotation_fn_E(u: Body, v: Body, phis) -> np.ndarray:

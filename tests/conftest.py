@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from zonalg import generators
+from zonalg import bodies, generators
+from zonalg.lifted import lift
+
+# The seed of the fuzz bodies whose trial a test's rng picks.
+FUZZ_SEED = 20261019
 
 
 @pytest.fixture
@@ -11,16 +15,34 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def drawn(seed, trial, count, max_diangles, zonogons=False):
+    """The `count` canonical bodies of trial `trial` of generators.draw_atoms,
+    each without its disc when `zonogons` is set.
+
+    Every fuzz body of the tests comes from here, so each replays from
+    (seed, trial) on any numpy version.
+    """
+    sizes, angles, lengths, radii = generators.draw_atoms(seed, range(trial, trial + 1), count, max_diangles)
+    return [
+        bodies.canonicalize(angles[0, b, :n], lengths[0, b, :n], 0.0 if zonogons else radii[0, b])
+        for b, n in enumerate(sizes[0])
+    ]
+
+
+def fuzz_trial(rng):
+    return int(rng.integers(2**62))
+
+
 def random_zonogon(rng, max_diangles=10):
-    return generators.random_zonogon(rng, max_diangles=max_diangles)
+    return drawn(FUZZ_SEED, fuzz_trial(rng), 1, max_diangles, zonogons=True)[0]
 
 
 def random_body(rng, max_diangles=10):
-    return generators.random_body(rng, max_diangles=max_diangles)
+    return drawn(FUZZ_SEED, fuzz_trial(rng), 1, max_diangles)[0]
 
 
 def random_lifted(rng, max_diangles=10):
-    return generators.random_lifted(rng, max_diangles=max_diangles)
+    return lift(*drawn(FUZZ_SEED, fuzz_trial(rng), 2, max_diangles))
 
 
 # The campaigns' draw, one word at a time in Python integers: no numpy in the

@@ -1,7 +1,12 @@
 """Acceptance gate: every criterion prints one pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete; each test is independent and uses fixed seeds throughout.
+complete; each test is independent and uses fixed seeds throughout.  Fuzz
+trial i of seed S is trial i of the campaigns' draw (conftest.drawn): a
+lifted vector is lift(b0, b1) of a trial's bodies, a pair of vectors
+lift(b0, b1), lift(b2, b3), as `check bmgen --seed S` and `check schwarz
+--seed S` draw them.  Scalars besides the bodies come from
+np.random.default_rng([S, i]).
 """
 
 import math
@@ -13,10 +18,12 @@ from pathlib import Path
 import numpy as np
 
 import zonalg as z
-from zonalg import generators, inequalities, lifted, oracle, rkhs
+from zonalg import oracle
 from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.cli import run
-from zonalg.lifted import DISC_VECTOR
+from zonalg.lifted import DISC_VECTOR, lift
+
+from conftest import drawn
 
 S = UNIT_SQUARE
 B = UNIT_DISC
@@ -34,16 +41,13 @@ def test_01_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for i in range(1000):
-        rng = generators.trial_rng(101, i)
-        a = generators.random_zonogon(rng, max_diangles=12)
-        if a.is_origin:
-            continue
+        (a,) = drawn(101, i, 1, 12, zonogons=True)
         p = oracle.polygon(z.vertices(a))
         pairs = [
             (oracle.shoelace_area(p), z.area(a)),
             (oracle.poly_perimeter(p), z.perimeter(a)),
         ]
-        theta = float(rng.uniform(0, 2 * PI))
+        theta = float(np.random.default_rng([101, i]).uniform(0, 2 * PI))
         pairs.append((oracle.poly_support(p, theta), z.support(a, theta)))
         for ref, ours in pairs:
             worst = max(worst, abs(ours - ref) / (abs(ref) or 1.0))
@@ -56,7 +60,7 @@ def test_02_generalized_isoperimetric():
     start = time.perf_counter()
     violations, worst = 0, math.inf
     for i in range(10_000):
-        x = generators.random_lifted(generators.trial_rng(102, i), 10)
+        x = lift(*drawn(102, i, 2, 10))
         o = z.perimeter_ext(x)
         d = z.deficit(x)
         worst = min(worst, d)
@@ -73,7 +77,7 @@ def test_03_equality_case():
     checked = 0
     i = 0
     while checked < 1000:
-        x = generators.random_lifted(generators.trial_rng(103, i), 10)
+        x = lift(*drawn(103, i, 2, 10))
         i += 1
         if not (len(x.plus.angles) or len(x.minus.angles)):
             continue  # a pure disc multiple attains equality by design
@@ -110,9 +114,8 @@ def test_05_kernel_gram():
 def test_06_reproducing_property():
     worst = 0.0
     for i in range(1000):
-        rng = generators.trial_rng(106, i)
-        x = generators.random_lifted(rng, 10)
-        phi = float(rng.uniform(0, PI))
+        x = lift(*drawn(106, i, 2, 10))
+        phi = float(np.random.default_rng([106, i]).uniform(0, PI))
         err = abs(z.inner(x, z.kernel_vector(phi)) - z.evaluate(x, phi))
         worst = max(worst, err / (1 + z.norm(x)))
     ok = worst <= 1e-9
@@ -122,9 +125,8 @@ def test_06_reproducing_property():
 def test_07_evaluation_and_norm_bounds():
     ok_eval = ok_norm = True
     for i in range(1000):
-        rng = generators.trial_rng(106, i)  # same fuzz set as criterion 6
-        x = generators.random_lifted(rng, 10)
-        phi = float(rng.uniform(0, PI))
+        x = lift(*drawn(106, i, 2, 10))  # same fuzz set as criterion 6
+        phi = float(np.random.default_rng([106, i]).uniform(0, PI))
         bound = math.sqrt(2) * z.norm(x) * (1 + 1e-9)
         if abs(z.evaluate(x, phi)) > bound:
             ok_eval = False
@@ -140,11 +142,7 @@ def test_08_reduction_pipeline():
     pairs = steps = 0
     drift, measure_step = 0.0, math.inf  # scaled by 1 + |o0| and its square
     for i in range(1000):
-        rng = generators.trial_rng(108, i)
-        u = generators.random_zonogon(rng, max_diangles=8)
-        v = generators.random_zonogon(rng, max_diangles=8)
-        if u.is_origin or v.is_origin:
-            continue
+        u, v = drawn(108, i, 2, 8, zonogons=True)
         trace = z.reduce_pair(u, v)
         pairs += 1
         steps += len(trace.steps)
@@ -169,9 +167,8 @@ def test_08_reduction_pipeline():
 def test_09_generalized_brunn_minkowski():
     violations, checked = 0, 0
     for i in range(10_000):
-        rng = generators.trial_rng(109, i)
-        x = generators.random_lifted(rng, 10)
-        y = generators.random_lifted(rng, 10)
+        b = drawn(109, i, 4, 10)
+        x, y = lift(b[0], b[1]), lift(b[2], b[3])
         mx, my = z.measure_ext(x), z.measure_ext(y)
         if mx <= 0 or my <= 0:
             continue
@@ -182,7 +179,7 @@ def test_09_generalized_brunn_minkowski():
     # dependent pairs attain equality
     dep_ok = True
     for i in range(100):
-        x = generators.random_lifted(generators.trial_rng(209, i), 8)
+        x = lift(*drawn(209, i, 2, 8))
         if z.measure_ext(x) <= 0:
             continue
         y = z.scale_real(x, 2.0)
@@ -199,10 +196,9 @@ def test_10_hyperbolicity():
     i = 0
     perimeter, measure = 0.0, -math.inf  # largest scaled |o(w)|, largest m(w) of a nonzero w
     while checked < 1000:
-        rng = generators.trial_rng(110, i)
+        b = drawn(110, i, 4, 8)
         i += 1
-        u = generators.random_lifted(rng, 8)
-        v = generators.random_lifted(rng, 8)
+        u, v = lift(b[0], b[1]), lift(b[2], b[3])
         if abs(z.perimeter_ext(v)) <= 1e-12 * (1 + z.norm(v)):
             continue
         checked += 1
@@ -219,16 +215,15 @@ def test_10_hyperbolicity():
 def test_11_schwarz_deficit():
     violations = 0
     for i in range(10_000):
-        rng = generators.trial_rng(111, i)
-        x = generators.random_lifted(rng, 10)
-        y = generators.random_lifted(rng, 10)
+        b = drawn(111, i, 4, 10)
+        x, y = lift(b[0], b[1]), lift(b[2], b[3])
         lhs = math.sqrt(max(z.deficit(x), 0.0)) * math.sqrt(max(z.deficit(y), 0.0))
         e = z.eps_form(x, y)
         if e > lhs + 1e-9 * (1 + abs(lhs) + abs(e)):
             violations += 1
     disc_ok = True
     for i in range(100):
-        x = generators.random_lifted(generators.trial_rng(211, i), 8)
+        x = lift(*drawn(211, i, 2, 8))
         scale = 1 + z.perimeter_ext(x) ** 2
         if abs(z.eps_form(x, DISC_VECTOR)) > 1e-10 * scale:
             disc_ok = False

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zonalg as z
-from zonalg import bodies, cli, generators, oracle
+from zonalg import bodies, cli, oracle
 from zonalg.bodies import ANGLE_TOL, PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import InvalidInputError, UnsupportedRepresentationError
 
@@ -444,8 +444,7 @@ class TestHausdorff:
     def _pairs(rng):
         """Random pairs, plus discs, empty bodies, shared directions and near-copies."""
         for _ in range(100):
-            a = generators.random_body(rng, max_diangles=12, disc_prob=0.5)
-            b = generators.random_body(rng, max_diangles=12, disc_prob=0.5)
+            a, b = random_body(rng, 12), random_body(rng, 12)
             r = float(rng.uniform(0.0, 3.0))
             yield a, b
             yield a, z.ORIGIN

@@ -2,8 +2,9 @@
 
 conftest.reference_atoms computes each word alone with Python integers, so
 these tests hold draw_atoms' array layout, key folding and decoding to it bit
-for bit, and then check the distributions the draw promises.  TestSeeding also
-pins trial_rng, the tests' fuzz source, to numpy's SeedSequence and PCG64.
+for bit, and then check the distributions the draw promises.  The draw is
+also the tests' one fuzz source: TestFuzzSource holds conftest.drawn, which
+every fuzz body of the tests comes from, to the same reference.
 """
 
 import math
@@ -11,19 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from zonalg import generators
+from zonalg import bodies, generators
 
-from conftest import GAMMA, reference_atoms, splitmix
+from conftest import GAMMA, drawn, reference_atoms, splitmix
 
 # 1-, 2- and 4-word seeds, around the 32- and 64-bit word boundaries
 SEEDS = [0, 1, 5, 2**31 - 1, 2**32 - 1, 2**32 + 7, 12345678901234567890, 2**64, 2**200 + 11]
 # trial 0, trials whose index has two 32-bit words, and the last two trials
 TRIALS = [range(0, 46), range(2**32 - 2, 2**32 + 2), range(2**64 - 2, 2**64)]
 WIDTHS = [1, 2, 3, 10, 300, 1024]
-
-
-def reference_states(seed, trials):
-    return np.array([np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials])
 
 
 def within(frequency, p, n):
@@ -36,23 +33,6 @@ class TestSeeding:
         # The first outputs of SplitMix64 seeded with 0: the finalizer of k·γ.
         want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
         assert [splitmix(k * GAMMA % 2**64) for k in range(1, 5)] == want
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_states_match_seed_sequence(self, seed):
-        """trial_rng(seed, t) is seeded by SeedSequence([seed, t]), so the fuzz sets replay."""
-        for trials in TRIALS:
-            rngs = [generators.trial_rng(seed, t) for t in trials]
-            got = [rng.bit_generator.seed_seq.generate_state(4, np.uint64) for rng in rngs]
-            assert np.array_equal(got, reference_states(seed, trials))
-            for rng, t in zip(rngs, trials):
-                assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence([seed, t])).state
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_raw_outputs_match_pcg64(self, seed):
-        for trials in TRIALS:
-            for t in trials:
-                want = np.random.PCG64(np.random.SeedSequence([seed, t])).random_raw(80)
-                assert np.array_equal(generators.trial_rng(seed, t).bit_generator.random_raw(80), want)
 
     def test_empty_range(self):
         sizes, angles, lengths, radii = generators.draw_atoms(3, range(0), 4, 10)
@@ -105,3 +85,22 @@ class TestDraws:
         for r in (half, discs):
             assert lo <= r.min() and r.max() < hi
             assert within(np.count_nonzero(r < math.sqrt(lo * hi)) / r.size, 0.5, r.size)
+
+
+class TestFuzzSource:
+    @pytest.mark.parametrize("m", [1, 8, 10, 12])
+    def test_drawn_bodies_match_reference(self, m):
+        """Each body of conftest.drawn is the reference's atoms, canonicalized.
+
+        So drawn reads each body of a row, its own count of atoms and its own
+        radius; only the zonogons drop the radius.
+        """
+        for seed in SEEDS[:6]:
+            for t in (0, 1, 17, 2**32 + 1, 2**64 - 1):
+                for count in (1, 2, 4):
+                    got, zonogons = drawn(seed, t, count, m), drawn(seed, t, count, m, zonogons=True)
+                    assert len(got) == len(zonogons) == count
+                    for b in range(count):
+                        angles, lengths, radius = reference_atoms(seed, t, b, m)
+                        assert got[b] == bodies.canonicalize(angles, lengths, radius)
+                        assert zonogons[b] == bodies.canonicalize(angles, lengths)

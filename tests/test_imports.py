@@ -2,10 +2,14 @@
 
 Only `cli` knows the JSON wire format, so only it imports `json`; `oracle`
 is the tests' brute-force reference, so no module of the package imports it.
+`generators.draw_atoms` is the package's one random draw, so no module
+reaches numpy's random generators.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import zonalg
 
@@ -27,6 +31,23 @@ def imported_modules(path: Path) -> set[str]:
     return names
 
 
+# Names through which a module would reach a random generator besides draw_atoms.
+RANDOM_NAMES = {"random", "default_rng", "SeedSequence"}
+
+
+def random_names(path: Path) -> set[str]:
+    """Every RANDOM_NAMES name the file imports, reads or reads an attribute by."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    for module in imported_modules(path):
+        names.update(module.split("."))
+    return names & RANDOM_NAMES
+
+
 def modules():
     return sorted(SRC.glob("*.py"))
 
@@ -45,6 +66,29 @@ def test_only_cli_imports_json():
 def test_no_module_imports_oracle():
     offenders = [p.name for p in modules() if p.stem != "oracle" and "zonalg.oracle" in imported_modules(p)]
     assert offenders == []
+
+
+def test_no_module_uses_a_random_generator():
+    offenders = {p.name: random_names(p) for p in modules() if random_names(p)}
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nrng = np.random.default_rng(1)\n",
+        "import numpy.random\n",
+        "from numpy import random\n",
+        "from numpy.random import default_rng\n",
+        "import numpy as np\ns = np.random.SeedSequence([1, 2])\n",
+        "def f(numpy):\n    return numpy.random.Generator\n",
+        "import random\n",
+    ],
+)
+def test_random_names_sees_every_form(tmp_path, source):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert random_names(path)
 
 
 def test_imported_modules_sees_every_form(tmp_path):
