@@ -5,7 +5,9 @@ beyond tolerance), 2 usage or input error, 3 internal error (an unexpected
 exception).  Exits 2 and 3 print one `error:` line on stderr and nothing on
 stdout.  Output is JSON on stdout
 unless --csv/--svg is given; identical arguments and seed produce
-byte-identical output.
+byte-identical output.  Each command returns its exit code and its output
+lines, and `run` writes them to stdout or --out once the command has
+returned, so a command that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -24,28 +26,16 @@ from .errors import InvalidInputError, NumericError, ZonalgError
 from .lifted import LiftedVector
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _dumps(obj) -> str:
-    """JSON text of obj; a NaN or infinite value is an error, not output."""
+    """One output line: the JSON text of obj and a newline; a NaN or infinite value is an error, not output."""
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericError(f"result is not finite: {exc}") from exc
 
 
-def _emit_json(obj, out_path: str | None) -> None:
-    _emit(_dumps(obj) + "\n", out_path)
-
-
-def _csv(rows) -> str:
-    """CSV of a 2-D float array, each entry as repr writes it; NaN or inf is an error.
+def _csv(rows) -> list[str]:
+    """CSV lines of a 2-D float array, one per row, each entry as repr writes it; NaN or inf is an error.
 
     Each distinct bit pattern (so 0.0 and -0.0 apart) is formatted once: the
     patterns are sorted once, the first of each run kept, and every entry
@@ -60,7 +50,7 @@ def _csv(rows) -> str:
     distinct = distinct[first]
     text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     # row by row: one list of a row's strings at a time stays in cache
-    return "\n".join([",".join(text[row].tolist()) for row in np.searchsorted(distinct, bits)] + [""])
+    return [",".join(text[row].tolist()) + "\n" for row in np.searchsorted(distinct, bits)]
 
 
 # --- JSON wire format: the one reader and writer --------------------------
@@ -172,15 +162,13 @@ def _polygonize(a: Body, n: int) -> Body:
     return a
 
 
-def _cmd_body(args) -> int:
+def _cmd_body(args) -> tuple[int, list[str]]:
     a = _read_body(args.file)
     if args.action == "stats":
-        _emit_json(_body_stats(a), args.out)
-    elif args.action == "vertices":
-        _emit_json({"vertices": bodies.vertices(_polygonize(a, args.polygonize_disc)).tolist()}, args.out)
-    else:  # svg
-        _emit(body_svg(a), args.out)
-    return 0
+        return 0, [_dumps(_body_stats(a))]
+    if args.action == "vertices":
+        return 0, [_dumps({"vertices": bodies.vertices(_polygonize(a, args.polygonize_disc)).tolist()})]
+    return 0, [body_svg(a)]
 
 
 # --- lift ----------------------------------------------------------------
@@ -197,37 +185,33 @@ def _lift_stats(x: LiftedVector) -> dict:
     }
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> tuple[int, list[str]]:
     if args.action == "add" and args.other is None:
         args.error("lift add needs a second vector file")
     if args.action == "stats":
-        _emit_json(_lift_stats(_read_lifted(args.file)), args.out)
+        obj = _lift_stats(_read_lifted(args.file))
     elif args.action == "add":
-        z = lifted.add(_read_lifted(args.file), _read_lifted(args.other))
-        _emit_json(_lifted_dict(z), args.out)
+        obj = _lifted_dict(lifted.add(_read_lifted(args.file), _read_lifted(args.other)))
     elif args.action == "scale":
-        z = lifted.scale_real(_read_lifted(args.file), args.value)
-        _emit_json(_lifted_dict(z), args.out)
+        obj = _lifted_dict(lifted.scale_real(_read_lifted(args.file), args.value))
     else:  # eval
-        val = rkhs.evaluate(_read_lifted(args.file), args.value)
-        _emit_json({"phi": args.value, "value": val}, args.out)
-    return 0
+        obj = {"phi": args.value, "value": rkhs.evaluate(_read_lifted(args.file), args.value)}
+    return 0, [_dumps(obj)]
 
 
 # --- check ---------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
-    result = inequalities.campaign(args.inequality, args.trials, args.seed, args.max_diangles, args.tol)
+def _cmd_check(args) -> tuple[int, list[str]]:
+    result = inequalities.campaign(args.inequality, args.trials, args.seed, args.max_diangles)
     report = {"inequality": args.inequality, "trials": args.trials, "seed": args.seed, **result}
-    _emit_json(report, args.out)
-    return 1 if result["violations"] else 0
+    return 1 if result["violations"] else 0, [_dumps(report)]
 
 
 # --- reduce --------------------------------------------------------------
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[int, list[str]]:
     x = _read_lifted(args.file)
     u, v = _polygonize(x.plus, args.polygonize_disc), _polygonize(x.minus, args.polygonize_disc)
     trace = inequalities.reduce_pair(u, v)
@@ -247,14 +231,13 @@ def _cmd_reduce(args) -> int:
         "classical_deficit_of_witness": ow * ow - 4 * PI * mw,
     }
     lines.append(_dumps(summary))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, lines
 
 
 # --- kernel --------------------------------------------------------------
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args) -> tuple[int, list[str]]:
     if args.action in ("eval", "interp") and args.file is None:
         args.error(f"kernel {args.action} needs a file")
     if args.action == "eval" and args.nodes < 2:
@@ -263,50 +246,43 @@ def _cmd_kernel(args) -> int:
         nodes = np.linspace(0.0, PI, args.nodes)
         g = rkhs.gram(nodes)
         if args.csv:
-            _emit(_csv(np.vstack([nodes, g])), args.out)
-        else:
-            _emit_json({"nodes": nodes.tolist(), "entries": g.tolist()}, args.out)
+            return 0, _csv([nodes]) + _csv(g)
+        obj = {"nodes": nodes.tolist(), "entries": g.tolist()}
     elif args.action == "eig":
         eigs = rkhs.grid_eigenvalues(args.nodes)
-        _emit_json({"nodes": args.nodes, "min_eig": float(eigs[0]), "eigenvalues": list(map(float, eigs))}, args.out)
+        obj = {"nodes": args.nodes, "min_eig": float(eigs[0]), "eigenvalues": list(map(float, eigs))}
     elif args.action == "eval":
         nodes, values = rkhs.sample(_read_lifted(args.file), args.nodes)
         if args.csv:
-            _emit(_csv([nodes, values]), args.out)
-        else:
-            _emit_json({"nodes": nodes.tolist(), "values": values.tolist()}, args.out)
+            return 0, _csv([nodes, values])
+        obj = {"nodes": nodes.tolist(), "values": values.tolist()}
     else:  # interp
         nodes, values = _read_width_function(args.file)
         coeffs = rkhs.interpolate(nodes, values, ridge=args.ridge)
-        _emit_json({"nodes": nodes, "coefficients": coeffs.tolist(), "ridge": args.ridge}, args.out)
-    return 0
+        obj = {"nodes": nodes, "coefficients": coeffs.tolist(), "ridge": args.ridge}
+    return 0, [_dumps(obj)]
 
 
 # --- rotation-fn ---------------------------------------------------------
 
 
-def _cmd_rotation_fn(args) -> int:
+def _cmd_rotation_fn(args) -> tuple[int, list[str]]:
     u, v = _read_body(args.file), _read_body(args.other)
     phi_star, f_min = inequalities.singular_min(u, v)  # rejects discs and empty bodies
     phis = np.linspace(0.0, PI, args.nodes, endpoint=False)
     e_vals = inequalities.rotation_fn_E(u, v, phis)
     f_vals = inequalities.rotation_fn_F(u, v, phis)
-    cands = inequalities.singular_candidates(u, v)
     if args.csv:
-        _emit("phi,E,F\n" + _csv(np.column_stack([phis, e_vals, f_vals])), args.out)
-    else:
-        _emit_json(
-            {
-                "phi": list(map(float, phis)),
-                "E": list(map(float, e_vals)),
-                "F": list(map(float, f_vals)),
-                "candidates": list(map(float, cands)),
-                "phi_star": phi_star,
-                "F_min": f_min,
-            },
-            args.out,
-        )
-    return 0
+        return 0, ["phi,E,F\n", *_csv(np.column_stack([phis, e_vals, f_vals]))]
+    obj = {
+        "phi": list(map(float, phis)),
+        "E": list(map(float, e_vals)),
+        "F": list(map(float, f_vals)),
+        "candidates": list(map(float, inequalities.singular_candidates(u, v))),
+        "phi_star": phi_star,
+        "F_min": f_min,
+    }
+    return 0, [_dumps(obj)]
 
 
 # --- parser --------------------------------------------------------------
@@ -381,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=_int_in(0, 2**64), default=1000, help="at most 2**64")
     p_check.add_argument("--seed", type=_int_in(0), default=0)
     p_check.add_argument("--max-diangles", type=_int_in(1, max_diangles), default=10, help=f"at most {max_diangles}")
-    p_check.add_argument("--tol", type=_finite_at_least(0.0), default=1e-9, help="finite, >= 0")
     add_out(p_check)
     p_check.set_defaults(func=_cmd_check)
 
@@ -419,7 +394,13 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         # numpy warnings stay off stderr; _dumps rejects a non-finite result.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            code, lines = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.writelines(lines)
+        else:
+            sys.stdout.writelines(lines)
+        return code
     except SystemExit as exc:  # argparse, on --help or a usage error
         return 2 if exc.code not in (0, None) else 0
     except (ZonalgError, OSError) as exc:

@@ -146,7 +146,8 @@ def rotation_fn_E(u: Body, v: Body, phis) -> np.ndarray:
 
 def singular_candidates(u, v) -> np.ndarray:
     """Rotation angles aligning some diangle of v with some diangle of u (Bodies or atom triples)."""
-    cands = np.unique(fold((atoms_of(u)[0][:, None] - atoms_of(v)[0][None, :]).ravel()))
+    # equal phases fall in one group, which keeps the first of them
+    cands = np.sort(fold((atoms_of(u)[0][:, None] - atoms_of(v)[0][None, :]).ravel()))
     return cands[group_starts(cands)]
 
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -76,10 +77,51 @@ def test_determinism_across_processes(tmp_path):
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):
-    out = tmp_path / "stats.json"
-    assert run(resolve(["lift", "stats", "lifted_sb.json", "--out", str(out)])) == 0
-    assert capsys.readouterr().out == ""
-    assert out.read_text() == (GOLDEN / "lift_stats_sb.json").read_text()
+    for argv, golden in GOLDEN_CASES:
+        out = tmp_path / golden
+        assert run(resolve(argv) + ["--out", str(out)]) == 0, argv
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == (GOLDEN / golden).read_text(), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["body", "stats", "bad.json"],
+        ["lift", "eval", "lifted_sb.json", "--value", "9.0"],
+        ["rotation-fn", "disc.json", "square.json", "--csv"],
+        ["kernel", "gram", "--nodes", "4", "--csv"],  # exits 3: rkhs.gram raises
+    ],
+    ids=" ".join,
+)
+def test_failed_command_leaves_out_file(argv, tmp_path, monkeypatch, capsys):
+    # Output is written only once the command has returned.
+    def boom(_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(z.rkhs, "gram", boom)
+    out = tmp_path / "kept.txt"
+    out.write_bytes(b"earlier output\n")
+    assert run(resolve(argv) + ["--out", str(out)]) in (2, 3)
+    assert out.read_bytes() == b"earlier output\n"
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_gram_csv_memory(tmp_path):
+    # The rows are formatted one at a time from the Gram matrix itself (no
+    # copy of it with the nodes stacked on top) and never joined into one
+    # string; 220 MiB were traced when they were.
+    out = tmp_path / "gram.csv"
+    tracemalloc.start()
+    try:
+        assert run(["kernel", "gram", "--nodes", "2048", "--csv", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * 2**20, peak / 2**20
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == 2049
 
 
 class TestValues:
@@ -221,13 +263,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["bm", "bmgen", "iso", "schwarz"])
     def test_huge_tolerance_is_quiet(self, kind, capsys):
-        # Its bound tol * (1 + lhs) overflows to inf: nothing is counted, nothing warns.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["check", kind, "--trials", "50", "--tol", "1e308"]) == 0
+        # check has no --tol: a tolerance large enough to overflow its bound
+        # (1e308) would count no violation whatever the input, so every value
+        # is an unknown option, with no report.
+        for tol in ["1e308", "1e-9", "0", "nan", "-1", "x"]:
+            for argv in (["--tol", tol], [f"--tol={tol}"]):
+                assert run(["check", kind, "--trials", "50", *argv]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.count("\n") == 1 and "error: unrecognized arguments: --tol" in captured.err
+
+    def test_counted_violation_exits_1_with_report(self, monkeypatch, capsys):
+        calls = []
+
+        def campaign(*args):
+            calls.append(args)
+            return {"violations": 3, "min_slack": -0.5}
+
+        monkeypatch.setattr(z.inequalities, "campaign", campaign)
+        assert run(["check", "bm", "--trials", "7", "--seed", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert json.loads(captured.out)["violations"] == 0
+        assert json.loads(captured.out) == {
+            "inequality": "bm", "trials": 7, "seed": 2, "violations": 3, "min_slack": -0.5
+        }
+        assert calls == [("bm", 7, 2, 10)]  # the campaign's own tolerance
 
     def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
         def boom(_):
@@ -419,7 +479,6 @@ def cli_argv(draw):
             + maybe("--trials", st.integers(-1, 50).map(str))
             + maybe("--seed", st.integers(-1, 2**64).map(str))
             + maybe("--max-diangles", st.integers(-1, 12).map(str))
-            + [f"--tol={draw(NUMBERS)}"] * draw(st.booleans())
         )
     if command == "reduce":
         return ["reduce", file()] + maybe("--polygonize-disc", st.integers(-2, 64).map(str))

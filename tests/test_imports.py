@@ -3,7 +3,9 @@
 Only `cli` knows the JSON wire format, so only it imports `json`; `oracle`
 is the tests' brute-force reference, so no module of the package imports it.
 `generators.draw_atoms` is the package's one random draw, so no module
-reaches numpy's random generators.
+reaches numpy's random generators.  `cli.run` is the one writer of command
+output, so no other function names `stdout`, and `print` writes only to
+`sys.stderr`.
 """
 
 import ast
@@ -48,6 +50,29 @@ def random_names(path: Path) -> set[str]:
     return names & RANDOM_NAMES
 
 
+def stdout_writers(path: Path) -> set[str]:
+    """Every function (or "<module>") that names `stdout` or calls print without file=sys.stderr."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            names_stdout = (
+                isinstance(child, ast.Name) and child.id == "stdout"
+                or isinstance(child, ast.Attribute) and child.attr == "stdout"
+                or isinstance(child, ast.alias) and child.name == "stdout"
+            )
+            prints = (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "print"
+                and not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in child.keywords)
+            )
+            if names_stdout or prints:
+                found.add(scope)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
 def modules():
     return sorted(SRC.glob("*.py"))
 
@@ -71,6 +96,29 @@ def test_no_module_imports_oracle():
 def test_no_module_uses_a_random_generator():
     offenders = {p.name: random_names(p) for p in modules() if random_names(p)}
     assert offenders == {}
+
+
+def test_only_cli_run_writes_stdout():
+    writers = {p.stem: stdout_writers(p) for p in modules() if stdout_writers(p)}
+    assert writers == {"cli": {"run"}}
+
+
+@pytest.mark.parametrize(
+    "source,writers",
+    [
+        ("import sys\nsys.stdout.write('x')\n", {"<module>"}),
+        ("from sys import stdout\n", {"<module>"}),
+        ("import sys\ndef f():\n    def g():\n        return sys.stdout\n", {"g"}),
+        ("def f():\n    print('x')\n", {"f"}),
+        ("import sys\nclass C:\n    def m(self):\n        print('x', file=sys.stdout)\n", {"m"}),
+        ("def f(fh):\n    print('x', file=fh)\n", {"f"}),
+        ("import sys\ndef f():\n    print('x', file=sys.stderr)\n", set()),
+    ],
+)
+def test_stdout_writers_sees_every_form(tmp_path, source, writers):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert stdout_writers(path) == writers
 
 
 @pytest.mark.parametrize(

@@ -490,7 +490,7 @@ class TestSerialization:
         assert np.array(nodes).tobytes() == want[0].tobytes() and np.array(values).tobytes() == want[1].tobytes()
 
     def test_width_function_csv(self):
-        assert _csv([(0.0, 1.0), (2.0, 3.0)]) == "0.0,1.0\n2.0,3.0\n"
+        assert _csv([(0.0, 1.0), (2.0, 3.0)]) == ["0.0,1.0\n", "2.0,3.0\n"]
 
     def test_gram_csv_and_dict(self, capsys):
         assert run(["kernel", "gram", "--nodes", "2", "--csv"]) == 0
@@ -514,11 +514,11 @@ class TestSerialization:
             np.round(rng.standard_normal((300, 300)), 1),  # many repeats
         ]
         for rows in cases:
-            assert _csv(rows) == "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+            assert _csv(rows) == [",".join(map(repr, row)) + "\n" for row in rows.tolist()]
 
     def test_gram_csv_keeps_signed_zero(self):
-        assert _csv([[0.0, -0.0]]) == "0.0,-0.0\n"
-        assert _csv([[0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]]) == "0.0,1.0\n0.0,-0.0\n-0.0,0.0\n"
+        assert _csv([[0.0, -0.0]]) == ["0.0,-0.0\n"]
+        assert _csv([[0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]]) == ["0.0,1.0\n", "0.0,-0.0\n", "-0.0,0.0\n"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_csv_rejects_nonfinite(self, bad):
