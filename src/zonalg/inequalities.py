@@ -5,7 +5,7 @@ theorems; the campaign exists to fuzz the implementation, and the reduction
 pipeline replays the constructive proof: rotate one zonogon into singular
 position, cancel the parallel pair, repeat until one side is trivial.  The
 campaign takes all of a trial's mixed areas from one sorted sweep over its
-atoms (bodies.sweep_form); the reduction evaluates F with atom_form.
+atoms (bodies.sweep_form), the reduction's F from one over pairs of atoms.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ CAMPAIGN_BODIES = {"iso": 2, "bm": 2, "bmgen": 4, "schwarz": 4}
 MAX_DIANGLES = 1024
 # Bound on the raw words draw_atoms hashes for one chunk of trials.
 DRAW_ENTRIES = 1 << 19
-# Bound on the (angle, u-atom, v-atom) entries of one atom_form call in rotation_fn_F.
-F_ENTRIES = 1 << 18
 
 
 def _values(kind: str, atoms):
@@ -116,27 +114,38 @@ def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: flo
     return report
 
 
-def _require_zonogon(x, what: str) -> None:
-    if atoms_of(x)[2]:
+def _require_zonogon(what: str, *xs) -> None:
+    if any(atoms_of(x)[2] for x in xs):
         raise UnsupportedRepresentationError(f"{what} requires a pure zonogon; polygonize the disc first")
 
 
-def rotation_fn_F(u, v, phis) -> np.ndarray:
-    """F at each phi: the mixed area B(u, v turned by phi), by atom_form.
+def _pair_sweep(u, v, phis):
+    """Sorted points, S(x) = Σ_ij w_i w'_j |sin(x - c_ij)| at each, and the sort order.
 
-    u and v are Bodies or atom triples; v must be a zonogon.  The angles go
-    to atom_form in chunks of at most F_ENTRIES (angle, u-atom, v-atom)
-    entries, so memory stays O(F_ENTRIES + N) for N angles; atom_form's
-    batch items are independent, so each F has the same bits in any chunk.
-    Time is still O(N·k_u·k_v) for k_u and k_v atoms, until the singular
-    search moves onto a sorted |sin| sweep.
-    """
-    _require_zonogon(v, "rotation_fn_F")
-    u_atoms, (v_angles, v_weights, _) = atoms_of(u), atoms_of(v)
-    phis = np.asarray(phis, dtype=float)
-    step = max(1, F_ENTRIES // max(1, len(u_atoms[0]) * len(v_angles)))
-    turned = (v_angles + phis[i : i + step, None] for i in range(0, max(1, len(phis)), step))
-    return np.concatenate([atom_form(*u_atoms, t, v_weights, 0.0) for t in turned])
+    The points are the phases c_ij = fold(a_i - b_j), then the phis in [0, pi]
+    at weight 0, swept once by bodies.sin_sweep: O(M log M) time, O(M) memory.
+    To first order, with P = Σ|w_u|Σ|w_v| and sin, cos within 1 ulp (Higham
+    2002, §4.2): rounding the points (a - b, fold's PI, 0.56ε below pi, np.mod
+    for a phi in [-pi, pi]) moves S by under 6εP; the terms w w' cos c, w w' sin c
+    are off by 2ε|w w'|, the running sums by (M + 3)·ε/2·P, and sin_sweep makes
+    (6M + 27)·ε/2·P in all: |2S - 2S_exact| <= E_s = (6M + 48)·ε·P.  Not counted:
+    fold's move of a phase within ANGLE_TOL below pi to 0, as for the candidates."""
+    (ua, uw, _), (va, vw, _) = atoms_of(u), atoms_of(v)
+    points = np.concatenate([fold(np.subtract.outer(ua, va).ravel()), phis])
+    weights = np.concatenate([np.multiply.outer(uw, vw).ravel(), np.zeros(len(phis))])
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    return points, bodies.sin_sweep(points, weights[order]), order
+
+
+def rotation_fn_F(u, v, phis) -> np.ndarray:
+    """F at each phi, B(u, v turned by phi) = 2 S(phi mod pi) + 2 r_u Σw_v, S as in _pair_sweep;
+    v is a zonogon.  Within E_s + (k_v + 2)·ε·|r_u|·Σ|w_v| of the exact F for phi in [-pi, pi]."""
+    _require_zonogon("rotation_fn_F", v)
+    _, swept, order = _pair_sweep(u, v, np.mod(phis, PI))
+    values = np.empty(len(order))
+    values[order] = swept
+    return 2.0 * values[len(order) - len(phis) :] + 2.0 * (atoms_of(u)[2] * atoms_of(v)[1].sum())
 
 
 def rotation_fn_E(u: Body, v: Body, phis) -> np.ndarray:
@@ -145,8 +154,7 @@ def rotation_fn_E(u: Body, v: Body, phis) -> np.ndarray:
 
 
 def singular_candidates(u, v) -> np.ndarray:
-    """Rotation angles aligning some diangle of v with some diangle of u (Bodies or atom triples)."""
-    # equal phases fall in one group, which keeps the first of them
+    """Rotation angles aligning a diangle of v with one of u (Bodies or atom triples), the first of each group."""
     cands = np.sort(fold((atoms_of(u)[0][:, None] - atoms_of(v)[0][None, :]).ravel()))
     return cands[group_starts(cands)]
 
@@ -154,27 +162,20 @@ def singular_candidates(u, v) -> np.ndarray:
 def singular_min(u, v) -> tuple[float, float]:
     """Minimize F over the finite candidate set; ties go to the smallest angle.
 
-    u and v are Bodies or atom triples, both zonogons with some diangle.  F
-    is interval-wise concave with breakpoints exactly at the singular
-    candidates, so the global minimum over [0, pi) lies in the set.
-
-    Each F is one atom_form value, off from the exact F at its candidate by
-    at most E = (k_u + k_v + 24) ε Σ|w_u| Σ|w_v|: atom_form's bound, with k
-    the atom counts and ε the machine epsilon, plus 2πε Σ|w_u| Σ|w_v| for
-    the turned angles, each rounded by at most πε.  Every candidate whose F
-    lies within 2E of the least F counts as a minimum, so which of a tie
-    wins does not depend on the order of u's and v's atoms.
-    """
-    _require_zonogon(u, "singular_min")
-    _require_zonogon(v, "singular_min")
-    (_, wu, _), (_, wv, _) = atoms_of(u), atoms_of(v)
+    u and v: Bodies or atom triples, zonogons with some diangle.  F is concave
+    between the candidates (each group's first phase), so its minimum over [0, pi)
+    is one of them.  Candidates whose F = 2S (_pair_sweep) is within 2E_s of the
+    least tie, so atom order picks no winner.  F_min is atom_form's: 0 at equal angles."""
+    _require_zonogon("singular_min", u, v)
+    (_, wu, _), (va, wv, _) = atoms_of(u), atoms_of(v)
     if not (len(wu) and len(wv)):
         raise DomainError("singular_min needs two nonempty zonogons")
-    cands = singular_candidates(u, v)
-    values = rotation_fn_F(u, v, cands)
-    tie = 2.0 * (len(wu) + len(wv) + 24) * np.finfo(float).eps * np.abs(wu).sum() * np.abs(wv).sum()
-    best = int(np.argmax(values <= values.min() + tie))  # the first, as the candidates ascend
-    return float(cands[best]), float(values[best])
+    phases, swept, _ = _pair_sweep(u, v, np.empty(0))
+    starts = group_starts(phases)
+    values = 2.0 * swept[starts]
+    tie = 2.0 * (6 * len(phases) + 48) * np.finfo(float).eps * np.abs(wu).sum() * np.abs(wv).sum()
+    phi_star = phases[starts][np.argmax(values <= values.min() + tie)]  # the first, as the candidates ascend
+    return float(phi_star), float(atom_form(*atoms_of(u), (va + phi_star)[None], wv, 0.0)[0])
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,7 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     The pair is one signed-atom triple, u's atoms then v's as
     bodies.signed_atoms orders them; only the witness is built as a Body.
     """
-    _require_zonogon(u, "reduce_pair")
-    _require_zonogon(v, "reduce_pair")
+    _require_zonogon("reduce_pair", u, v)
     angles, weights, _ = bodies.signed_atoms(u, v)
     k = len(u.angles)  # atoms [:k] are u's, [k:] are v's with weight -d
     steps: list[ReductionStep] = []

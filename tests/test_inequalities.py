@@ -136,6 +136,31 @@ class TestRotationFns:
             z.rotation_fn_F(S, B.atoms, [0.1])
 
 
+def dense_singular_min(u, v):
+    """singular_min by atom_form at every candidate: the first F within 2E
+    of the least, E = (k_u + k_v + 24) ε Σ|w_u| Σ|w_v| atom_form's bound."""
+    (ua, uw, _), (va, vw, _) = bodies.atoms_of(u), bodies.atoms_of(v)
+    cands = inequalities.singular_candidates(u, v)
+    values = bodies.atom_form(ua, uw, 0.0, va + cands[:, None], vw, 0.0)
+    tie = 2.0 * (len(uw) + len(vw) + 24) * np.finfo(float).eps * np.abs(uw).sum() * np.abs(vw).sum()
+    best = int(np.argmax(values <= values.min() + tie))
+    return float(cands[best]), float(values[best])
+
+
+def exact_cross(u, v, phis):
+    """50-digit 2 Σ w_i w'_j |sin(a_i - b_j - phi)| at each float phi: F without u's disc term."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        su = [(mpmath.sin(a), mpmath.cos(a), w) for a, w in zip(map(mpmath.mpf, u.angles.tolist()), u.lengths.tolist())]
+        out = []
+        for phi in phis:
+            turned = [(mpmath.mpf(b) + phi, w) for b, w in zip(v.angles.tolist(), v.lengths.tolist())]
+            sv = [(mpmath.sin(t), mpmath.cos(t), w) for t, w in turned]
+            out.append(2 * mpmath.fsum(wa * wb * abs(sa * cb - ca * sb) for sa, ca, wa in su for sb, cb, wb in sv))
+        return out
+
+
 class TestSingularMin:
     def test_square_axis_segment(self):
         phi, f = z.singular_min(S, z.segment(0.0, 0.5))
@@ -186,31 +211,43 @@ class TestSingularMin:
         assert len(inequalities.singular_candidates(B, S)) == 0
         assert len(inequalities.singular_candidates(S, z.ORIGIN)) == 0
 
-    def test_chunks_keep_every_bit(self, rng, monkeypatch):
-        # rotation_fn_F in chunks of F_ENTRIES entries, against one atom_form call
-        beyond_one_chunk = 0
-        for _ in range(50):
-            u, v = random_zonogon(rng, 48), random_zonogon(rng, 48)
-            cands = inequalities.singular_candidates(u, v)
-            beyond_one_chunk += len(cands) * len(u.angles) * len(v.angles) > inequalities.F_ENTRIES
-            results = []
-            for entries in (inequalities.F_ENTRIES, 1, 2**62):
-                monkeypatch.setattr(inequalities, "F_ENTRIES", entries)
-                results.append((z.singular_min(u, v), z.rotation_fn_F(u, v, cands).tobytes()))
-            monkeypatch.undo()
-            assert results[0] == results[1] == results[2]
-        assert beyond_one_chunk >= 10
+    def test_matches_dense_search(self, rng):
+        # the sweep picks the candidate and F_min bits of atom_form at every candidate
+        pairs = [(random_zonogon(rng, 12), random_zonogon(rng, 12)) for _ in range(500)]
+        pairs += [self.regular_tie(k) for k in range(2, 16)]
+        for u, v in pairs:
+            got, want = z.singular_min(u, v), dense_singular_min(u, v)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (u, v)
+
+    def test_atom_form_calls(self, rng, monkeypatch):
+        # rotation_fn_F is one sweep; singular_min takes F_min from one atom_form call at one angle
+        calls, form = [], inequalities.atom_form
+
+        def spy(*args):
+            calls.append(np.shape(args[3]))
+            return form(*args)
+
+        monkeypatch.setattr(inequalities, "atom_form", spy)
+        monkeypatch.setattr(bodies, "atom_form", spy)
+        for _ in range(20):
+            u, v = random_zonogon(rng, 12), random_zonogon(rng, 12)
+            z.rotation_fn_F(u + z.disc(0.5), v, np.linspace(-PI, PI, 33))
+            assert calls == []
+            z.singular_min(u, v)
+            assert calls == [(1, len(v.angles))]
+            calls.clear()
 
     def test_memory_is_bounded(self, rng):
-        # 40+40 atoms: 1,600 candidates, and one (1600, 40, 40) array would take 20 MiB
-        u, v = (z.body(np.column_stack([rng.uniform(0, PI, 40), rng.uniform(0.1, 2.0, 40)])) for _ in range(2))
+        # 300+300 atoms: 90,000 candidates, and one (90000, 300, 300) array would take 60 GiB
+        u, v = (z.body(np.column_stack([rng.uniform(0, PI, 300), rng.uniform(0.1, 2.0, 300)])) for _ in range(2))
         tracemalloc.start()
         try:
             z.singular_min(u, v)
+            z.rotation_fn_F(u, v, np.linspace(0.0, PI, z.rkhs.MAX_NODES, endpoint=False))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak <= 16 * 2**20
 
     @staticmethod
     def regular_tie(k):
@@ -233,23 +270,29 @@ class TestSingularMin:
                 assert z.singular_min((u[0][order], u[1][order], 0.0), v)[0] == want, (k, order)
 
     def test_F_within_tie_bound_of_exact(self, rng):
-        # singular_min counts F values within 2E of the least as tied, with
-        # E = (k_u + k_v + 24) ε Σ|w_u| Σ|w_v| the bound on each value's
-        # error; 50-digit F at every candidate checks that bound.
+        # F from the sweep at its own phases (singular_min's values) and from
+        # rotation_fn_F at every candidate and at angles in [-pi, pi], each
+        # within E_s = (6M + 48) ε Σ|w_u| Σ|w_v| of 50-digit F for M sweep
+        # points, plus (k_v + 2) ε r_u Σ|w_v| in rotation_fn_F for u's disc.
         mpmath = pytest.importorskip("mpmath")
-        eps = np.finfo(float).eps
-        for _ in range(200):
-            u, v = random_zonogon(rng, 6), random_zonogon(rng, 6)
-            cands = inequalities.singular_candidates(u, v)
-            got = z.rotation_fn_F(u, v, cands)
-            bound = (len(u.angles) + len(v.angles) + 24) * eps * u.lengths.sum() * v.lengths.sum()
+        eps, grid = np.finfo(float).eps, np.append(np.linspace(-PI, PI, 17), [-1e-13, PI - 1e-13])
+        pairs = [(random_body(rng, 6), random_zonogon(rng, 6)) for _ in range(200)]
+        for _ in range(10):  # 144 phases each
+            u, v = (z.body(np.column_stack([rng.uniform(0, PI, 12), np.exp(rng.uniform(-4, 2, 12))])) for _ in "uv")
+            pairs.append((u + z.disc(float(rng.uniform(0.0, 2.0))), v))
+        for u, v in pairs:
+            n, scale, disc = len(u.angles) * len(v.angles), u.lengths.sum() * v.lengths.sum(), u.disc_radius * v.lengths.sum()
             with mpmath.workdps(50):
-                su = [(mpmath.sin(a), mpmath.cos(a), w) for a, w in zip(map(mpmath.mpf, u.angles.tolist()), u.lengths.tolist())]
-                for phi, f in zip(cands.tolist(), got.tolist()):
-                    turned = [(mpmath.mpf(b) + phi, w) for b, w in zip(v.angles.tolist(), v.lengths.tolist())]
-                    sv = [(mpmath.sin(t), mpmath.cos(t), w) for t, w in turned]
-                    want = 2 * mpmath.fsum(wa * wb * abs(sa * cb - ca * sb) for sa, ca, wa in su for sb, cb, wb in sv)
-                    assert abs(f - want) <= bound, (u, v, phi)
+                disc_term = 2 * mpmath.mpf(u.disc_radius) * mpmath.fsum(v.lengths.tolist())
+            phases, swept, _ = inequalities._pair_sweep(u, v, np.empty(0))
+            at = np.concatenate([inequalities.singular_candidates(u, v), grid])
+            checks = [
+                (phases, 2.0 * swept, 0, (6 * n + 48) * eps * scale),
+                (at, z.rotation_fn_F(u, v, at), disc_term, (6 * (n + len(at)) + 48) * eps * scale + (len(v.angles) + 2) * eps * disc),
+            ]
+            for phis, got, plus, bound in checks:
+                for phi, f, want in zip(phis.tolist(), got.tolist(), exact_cross(u, v, phis.tolist())):
+                    assert abs(f - (want + plus)) <= bound, (u, v, phi)
 
 
 class TestReducePair:
