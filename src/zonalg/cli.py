@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification failure (an inequality violated
 beyond tolerance), 2 usage or input error, 3 internal error (an unexpected
 exception).  Exits 2 and 3 print one `error:` line on stderr and nothing on
-stdout.  Output is JSON on stdout
-unless --csv/--svg is given; identical arguments and seed produce
-byte-identical output.  Each command returns its exit code and its output
+stdout; an argument the action does not read is a usage error.  Output is
+JSON on stdout unless --csv or `body svg` is given; identical arguments and
+seed produce byte-identical output.  Each command returns its exit code and its output
 lines, and `run` writes them to stdout or --out once the command has
 returned, so a command that fails writes nothing.
 """
@@ -186,8 +186,6 @@ def _lift_stats(x: LiftedVector) -> dict:
 
 
 def _cmd_lift(args) -> tuple[int, list[str]]:
-    if args.action == "add" and args.other is None:
-        args.error("lift add needs a second vector file")
     if args.action == "stats":
         obj = _lift_stats(_read_lifted(args.file))
     elif args.action == "add":
@@ -238,10 +236,6 @@ def _cmd_reduce(args) -> tuple[int, list[str]]:
 
 
 def _cmd_kernel(args) -> tuple[int, list[str]]:
-    if args.action in ("eval", "interp") and args.file is None:
-        args.error(f"kernel {args.action} needs a file")
-    if args.action == "eval" and args.nodes < 2:
-        args.error(f"kernel eval needs --nodes >= 2, got {args.nodes}")
     if args.action == "gram":
         nodes = np.linspace(0.0, PI, args.nodes)
         g = rkhs.gram(nodes)
@@ -324,67 +318,68 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, and per action of body, lift and kernel,
+    each holding only the arguments its command reads."""
     parser = _Parser(prog="zonalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
     max_diangles, max_nodes = inequalities.MAX_DIANGLES, rkhs.MAX_NODES
 
-    def add_polygonize(p):
-        help_ = f"replace a disc by its circumscribed 2N-gon: N = 0 keeps it, else 2 <= N <= {max_diangles}"
-        p.add_argument("--polygonize-disc", type=_int_in(2, max_diangles, True), default=0, metavar="N", help=help_)
+    def arg(*flags, **kwargs):
+        return flags, kwargs
 
-    p_body = sub.add_parser("body", help="closed-form quantities of a body")
-    p_body.add_argument("action", choices=["stats", "vertices", "svg"])
-    p_body.add_argument("file")
-    add_polygonize(p_body)
-    add_out(p_body)
-    p_body.set_defaults(func=_cmd_body)
+    def command(parsers, name, func, *args, **kwargs):
+        p = parsers.add_parser(name, **kwargs)
+        for flags, options in args:
+            p.add_argument(*flags, **options)
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+        p.set_defaults(func=func)
 
-    p_lift = sub.add_parser("lift", help="operations on lifted vectors")
-    p_lift.add_argument("action", choices=["stats", "add", "scale", "eval"])
-    p_lift.add_argument("file")
-    p_lift.add_argument("other", nargs="?", help="second vector file (for add)")
-    p_lift.add_argument("--value", type=float, default=0.0, help="scalar for scale / angle for eval")
-    add_out(p_lift)
-    p_lift.set_defaults(func=_cmd_lift, error=p_lift.error)
+    def actions(name, help, func, **per_action):
+        parsers = sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+        for action, args in per_action.items():
+            command(parsers, action, func, *args)
 
-    p_check = sub.add_parser("check", help="fuzz an inequality")
-    p_check.add_argument("inequality", choices=sorted(inequalities.CAMPAIGN_BODIES))
-    # Trial indices lie in [0, 2**64), where draw_atoms' counter would wrap.
-    p_check.add_argument("--trials", type=_int_in(0, 2**64), default=1000, help="at most 2**64")
-    p_check.add_argument("--seed", type=_int_in(0), default=0)
-    p_check.add_argument("--max-diangles", type=_int_in(1, max_diangles), default=10, help=f"at most {max_diangles}")
-    add_out(p_check)
-    p_check.set_defaults(func=_cmd_check)
+    file, lifted_file, csv = arg("file"), arg("file", help="lifted vector JSON"), arg("--csv", action="store_true")
+    help_ = f"replace a disc by its circumscribed 2N-gon: N = 0 keeps it, else 2 <= N <= {max_diangles}"
+    polygonize = arg("--polygonize-disc", type=_int_in(2, max_diangles, True), default=0, metavar="N", help=help_)
+    value = functools.partial(arg, "--value", type=float, default=0.0)
 
-    p_reduce = sub.add_parser("reduce", help="singular-position reduction trace (JSON lines)")
-    p_reduce.add_argument("file", help="lifted vector JSON (the pair to reduce)")
-    add_polygonize(p_reduce)
-    add_out(p_reduce)
-    p_reduce.set_defaults(func=_cmd_reduce)
+    def nodes(lo):
+        return arg("--nodes", type=_int_in(lo, max_nodes), default=16, help=f"grid size in [{lo}, {max_nodes}]")
 
-    p_kernel = sub.add_parser("kernel", help="kernel matrices, eigenvalues, sampling, interpolation")
-    p_kernel.add_argument("action", choices=["gram", "eig", "eval", "interp"])
-    p_kernel.add_argument("file", nargs="?", help="lifted vector (eval) or width function (interp) JSON")
-    p_kernel.add_argument(
-        "--nodes", type=_int_in(1, max_nodes), default=16, help=f"grid size, at most {max_nodes} (eval needs >= 2)"
+    actions("body", "closed-form quantities of a body", _cmd_body, stats=[file], vertices=[file, polygonize], svg=[file])
+    actions(
+        "lift",
+        "operations on lifted vectors",
+        _cmd_lift,
+        stats=[lifted_file],
+        add=[lifted_file, arg("other", help="second lifted vector JSON")],
+        scale=[lifted_file, value(help="scalar factor")],
+        eval=[lifted_file, value(help="angle in [0, pi]")],
     )
-    p_kernel.add_argument("--ridge", type=_finite_at_least(0.0), default=0.0, help="finite, >= 0")
-    p_kernel.add_argument("--csv", action="store_true")
-    add_out(p_kernel)
-    p_kernel.set_defaults(func=_cmd_kernel, error=p_kernel.error)
-
-    p_rot = sub.add_parser("rotation-fn", help="rotation functions E and F over a grid")
-    p_rot.add_argument("file", help="fixed body JSON")
-    p_rot.add_argument("other", help="rotating zonogon JSON")
-    p_rot.add_argument("--nodes", type=_int_in(0, max_nodes), default=64, help=f"grid size, at most {max_nodes}")
-    p_rot.add_argument("--csv", action="store_true")
-    add_out(p_rot)
-    p_rot.set_defaults(func=_cmd_rotation_fn)
-
+    # Trial indices lie in [0, 2**64), where draw_atoms' counter would wrap.
+    trials = arg("--trials", type=_int_in(0, 2**64), default=1000, help="at most 2**64")
+    seed = arg("--seed", type=_int_in(0), default=0)
+    diangles = arg("--max-diangles", type=_int_in(1, max_diangles), default=10, help=f"at most {max_diangles}")
+    inequality = arg("inequality", choices=sorted(inequalities.CAMPAIGN_BODIES))
+    command(sub, "check", _cmd_check, inequality, trials, seed, diangles, help="fuzz an inequality")
+    pair = arg("file", help="lifted vector JSON (the pair to reduce)")
+    command(sub, "reduce", _cmd_reduce, pair, polygonize, help="singular-position reduction trace (JSON lines)")
+    ridge = arg("--ridge", type=_finite_at_least(0.0), default=0.0, help="finite, >= 0")
+    actions(
+        "kernel",
+        "kernel matrices, eigenvalues, sampling, interpolation",
+        _cmd_kernel,
+        gram=[nodes(1), csv],
+        eig=[nodes(1)],
+        eval=[lifted_file, nodes(2), csv],
+        interp=[arg("file", help="width function JSON"), ridge],
+    )
+    fixed, rotating = arg("file", help="fixed body JSON"), arg("other", help="rotating zonogon JSON")
+    grid = arg("--nodes", type=_int_in(0, max_nodes), default=64, help=f"grid size, at most {max_nodes}")
+    command(
+        sub, "rotation-fn", _cmd_rotation_fn, fixed, rotating, grid, csv, help="rotation functions E and F over a grid"
+    )
     return parser
 
 

@@ -3,7 +3,10 @@
 draw_atoms is the draw of the fuzz campaigns, and the tests take their fuzz
 bodies from it too.  Each word it reads is a hash of (seed, trial, body,
 slot), so a trial's bodies do not depend on the other trials drawn with it,
-on the order trials run in, or on numpy's random generators.
+on the order trials run in, or on numpy's random generators.  They do depend
+on numpy's CPU dispatch of np.exp, which gives the half-lengths and disc
+radii: its AVX-512 and AVX2 loops round differently, so a drawn length can
+move in its last bits from one CPU to another.
 """
 
 from __future__ import annotations

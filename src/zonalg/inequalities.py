@@ -119,19 +119,21 @@ def _require_zonogon(what: str, *xs) -> None:
         raise UnsupportedRepresentationError(f"{what} requires a pure zonogon; polygonize the disc first")
 
 
-def _pair_sweep(u, v, phis):
+def _pair_sweep(u, v, phis, phase=fold):
     """Sorted points, S(x) = Σ_ij w_i w'_j |sin(x - c_ij)| at each, and the sort order.
 
-    The points are the phases c_ij = fold(a_i - b_j), then the phis in [0, pi]
-    at weight 0, swept once by bodies.sin_sweep: O(M log M) time, O(M) memory.
+    The points are the phases c_ij = phase(a_i - b_j) in [0, pi], then the phis
+    in [0, pi] at weight 0, swept once by bodies.sin_sweep: O(M log M) time, O(M) memory.
     To first order, with P = Σ|w_u|Σ|w_v| and sin, cos within 1 ulp (Higham
-    2002, §4.2): rounding the points (a - b, fold's PI, 0.56ε below pi, np.mod
-    for a phi in [-pi, pi]) moves S by under 6εP; the terms w w' cos c, w w' sin c
+    2002, §4.2): rounding the points (a - b, the PI fold or np.mod adds, 0.56ε
+    below pi, np.mod for a phi in [-pi, pi]) moves S by under 6εP; the terms w w' cos c, w w' sin c
     are off by 2ε|w w'|, the running sums by (M + 3)·ε/2·P, and sin_sweep makes
-    (6M + 27)·ε/2·P in all: |2S - 2S_exact| <= E_s = (6M + 48)·ε·P.  Not counted:
-    fold's move of a phase within ANGLE_TOL below pi to 0, as for the candidates."""
+    (6M + 27)·ε/2·P in all: |2S - 2S_exact| <= E_s = (6M + 48)·ε·P.  Not counted,
+    with the default phase only: fold's move of a phase within ANGLE_TOL below
+    pi to 0, which singular_min keeps, as for its candidates; rotation_fn_F
+    takes the phases mod pi, which moves none."""
     (ua, uw, _), (va, vw, _) = atoms_of(u), atoms_of(v)
-    points = np.concatenate([fold(np.subtract.outer(ua, va).ravel()), phis])
+    points = np.concatenate([phase(np.subtract.outer(ua, va).ravel()), phis])
     weights = np.concatenate([np.multiply.outer(uw, vw).ravel(), np.zeros(len(phis))])
     order = np.argsort(points, kind="stable")
     points = points[order]
@@ -142,7 +144,7 @@ def rotation_fn_F(u, v, phis) -> np.ndarray:
     """F at each phi, B(u, v turned by phi) = 2 S(phi mod pi) + 2 r_u Σw_v, S as in _pair_sweep;
     v is a zonogon.  Within E_s + (k_v + 2)·ε·|r_u|·Σ|w_v| of the exact F for phi in [-pi, pi]."""
     _require_zonogon("rotation_fn_F", v)
-    _, swept, order = _pair_sweep(u, v, np.mod(phis, PI))
+    _, swept, order = _pair_sweep(u, v, np.mod(phis, PI), lambda d: np.mod(d, PI))
     values = np.empty(len(order))
     values[order] = swept
     return 2.0 * values[len(order) - len(phis) :] + 2.0 * (atoms_of(u)[2] * atoms_of(v)[1].sum())

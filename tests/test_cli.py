@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import zonalg as z
 from zonalg.bodies import PI
-from zonalg.cli import run
+from zonalg.cli import build_parser, run
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -225,6 +226,64 @@ class TestExitCodes:
     def test_bad_arguments_are_usage_errors(self, argv, capsys):
         assert run(resolve(argv)) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["body", "stats", "disc.json", "--polygonize-disc", "8"],
+            ["body", "svg", "disc.json", "--polygonize-disc", "8"],
+            ["lift", "stats", "lifted_sb.json", "lifted_sb.json"],
+            ["lift", "scale", "lifted_sb.json", "lifted_sb.json", "--value", "2"],
+            ["lift", "eval", "lifted_sb.json", "lifted_sb.json", "--value", "0.5"],
+            ["lift", "stats", "lifted_sb.json", "--value", "2"],
+            ["lift", "add", "lifted_sb.json", "lifted_sb.json", "--value", "2"],
+            ["kernel", "gram", "lifted_sb.json", "--nodes", "4"],
+            ["kernel", "eig", "lifted_sb.json", "--nodes", "4"],
+            ["kernel", "interp", "widthfn.json", "--nodes", "4"],
+            ["kernel", "gram", "--nodes", "4", "--ridge", "1e-10"],
+            ["kernel", "eig", "--nodes", "4", "--ridge", "1e-10"],
+            ["kernel", "eval", "lifted_sb.json", "--ridge", "1e-10"],
+            ["kernel", "eig", "--nodes", "4", "--csv"],
+            ["kernel", "interp", "widthfn.json", "--csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_argument_the_action_does_not_read(self, argv, capsys):
+        # Each action's parser holds only what the action reads, so these
+        # are usage errors, not options silently ignored.
+        assert run(resolve(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "error: " in captured.err, captured.err
+
+    def test_readme_examples_parse(self):
+        block = (Path(__file__).parent.parent / "README.md").read_text().split("## CLI", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+        assert len(lines) >= 12 and all(line[0] == "zonalg" for line in lines)
+        for line in lines:
+            assert build_parser().parse_args(line[1:]).func, line
+
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("body stats", []),
+            ("body vertices", ["--polygonize-disc"]),
+            ("body svg", []),
+            ("lift stats", []),
+            ("lift add", []),
+            ("lift scale", ["--value"]),
+            ("lift eval", ["--value"]),
+            ("kernel gram", ["--nodes", "--csv"]),
+            ("kernel eig", ["--nodes"]),
+            ("kernel eval", ["--nodes", "--csv"]),
+            ("kernel interp", ["--ridge"]),
+        ],
+    )
+    def test_action_help_lists_its_options(self, command, options, capsys):
+        assert run([*command.split(), "--help"]) == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--out", *options}
 
     @pytest.mark.parametrize(
         "files", [["disc.json", "square.json"], ["square.json", "origin.json"], ["origin.json", "square.json"]], ids=" ".join

@@ -111,6 +111,13 @@ class TestRotationFns:
             expected = [z.mixed_area(u, z.rotate(v, float(phi))) for phi in phis]
             assert z.rotation_fn_F(u, v, phis) == pytest.approx(expected, rel=1e-11)
 
+    def test_F_of_atoms_closer_than_angle_tol(self):
+        # The pair's phase lies 5e-13 below pi; taken through fold it went to
+        # 0 and F was 8.8e-13 off.  50-digit mpmath: 2|sin(1 - (1 + 5e-13) - 0.5)|.
+        u, v = z.body([(1.0, 1.0)]), z.body([(1.0 + 5e-13, 1.0)])
+        bound = (6 * (1 + 1) + 48) * np.finfo(float).eps
+        assert abs(z.rotation_fn_F(u, v, [0.5])[0] - 0.95885107720928366) <= bound
+
     def test_E_minus_2F_constant(self, rng):
         # E is written as area(u) + area(v) + 2F; the area of the rotated sum checks that.
         for _ in range(50):
