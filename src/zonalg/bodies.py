@@ -292,7 +292,7 @@ def sin_sweep(angles, weights):
 
 def sweep_form(angles, weights, radii):
     """Mixed areas B(x_p, x_q) of c signed atom vectors on one list of atoms,
-    batched over leading axes, in O(c²k + k log k) time and memory.
+    batched over leading axes, in O(c²k + k log k) time and O(ck) memory.
 
     The atoms have angles (..., k) in [0, pi), in any order, and k >= 1.
     Vector p gives atom i the weight weights[..., p, i] (0 where the atom is
@@ -322,17 +322,51 @@ def sweep_form(angles, weights, radii):
     row's error scales with the W_i before it, so when the weights are
     positive and any two angles lie more than (0.71k + 3.5)·ε apart mod pi,
     every row is nonnegative and so is the area, whatever the weights.
+
+    The sums run down the atom axis: the sorted atoms lie along axis 0 and
+    the flattened batch along the last, fast axis.  numpy sums pairwise
+    only when the summed axis is the fast one, so here each running sum (a
+    cumsum) and each total (an add.reduce from -0.0, so that a sum of -0.0
+    keeps its sign) adds one atom at a time in sorted order: the bits of a
+    loop over the atoms, in a few numpy calls per vector for the whole
+    batch.  The totals are taken with one more column of zeros on the fast
+    axis.  It keeps a lone item (an unbatched call, or one trial replayed
+    alone) on the same path: as a single column, numpy would sum its
+    totals pairwise once it has 8 or more atoms.  The vectors are swept one
+    at a time in shared buffers, so no (c, c, k) array per item is built.
     """
-    order = np.argsort(angles, axis=-1, kind="stable")
-    a = np.take_along_axis(angles, order, axis=-1)
-    w = np.take_along_axis(weights, order[..., None, :], axis=-1)
-    sin, cos, below_cos, below_sin = _sin_prefix(a[..., None, :], w)
-    below = sin * below_cos[..., :-1] - cos * below_sin[..., :-1]
-    # once[p, q]: the pairs of an atom of x_p with an earlier atom of x_q
-    once = np.cumsum(w[..., :, None, :] * below[..., None, :, :], axis=-1)[..., -1]
-    disc = radii[..., :, None] * np.cumsum(w, axis=-1)[..., None, :, -1]
-    pairs = PI * radii[..., :, None] * radii[..., None, :]
-    return 2.0 * (once + np.swapaxes(once, -1, -2)) + 2.0 * (disc + np.swapaxes(disc, -1, -2)) + pairs
+    *batch, c, k = np.shape(weights)
+    n = math.prod(batch)
+    # (k, n): the flat index of each item's sorted angles, atoms first
+    at = np.argsort(np.reshape(angles, (n, k)), axis=-1, kind="stable").T + k * np.arange(n)
+    a = np.ravel(angles)[at]
+    sin, cos = np.sin(a), np.cos(a, out=a)
+    w = np.zeros((c, k, n + 1))
+    at += (c - 1) * k * np.arange(n)  # now the flat index of its weight in vector 0
+    for p in range(c):
+        w[p, :, :n] = np.ravel(weights)[at + p * k]
+    del at
+    once = np.empty((c, c, n + 1))
+    sums = np.empty((2, k, n))
+    terms = np.zeros((k, n + 1))
+    for q in range(c):
+        # C and S of x_q: the running sums of w cos and w sin over the atoms before each atom
+        sums[:, 0] = 0.0
+        np.multiply(w[q, :-1, :n], cos[:-1], out=sums[0, 1:])
+        np.multiply(w[q, :-1, :n], sin[:-1], out=sums[1, 1:])
+        np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
+        below = np.multiply(sin, sums[0], out=sums[0])  # Σ_{j<i} w_j sin(a_i - a_j) over x_q's atoms j
+        below -= np.multiply(cos, sums[1], out=sums[1])
+        for p in range(c):
+            # once[p, q]: the pairs of an atom of x_p with an earlier atom of x_q
+            np.multiply(w[p, :, :n], below, out=terms[:, :n])
+            np.add.reduce(terms, axis=0, out=once[p, q], initial=-0.0)
+    once = once[..., :n]
+    r = np.reshape(radii, (n, c)).T
+    disc = r[:, None] * np.add.reduce(w, axis=1, initial=-0.0)[None, :, :n]
+    pairs = PI * r[:, None] * r[None, :]
+    b = 2.0 * (once + np.swapaxes(once, 0, 1)) + 2.0 * (disc + np.swapaxes(disc, 0, 1)) + pairs
+    return np.moveaxis(b, -1, 0).reshape(*batch, c, c)
 
 
 def area(a: Body) -> float:

@@ -213,7 +213,7 @@ def _cmd_reduce(args) -> tuple[int, list[str]]:
     x = _read_lifted(args.file)
     u, v = _polygonize(x.plus, args.polygonize_disc), _polygonize(x.minus, args.polygonize_disc)
     trace = inequalities.reduce_pair(u, v)
-    pair = lifted.lift(u, v)
+    pair = x if u is x.plus and v is x.minus else lifted.lift(u, v)  # x is a lift already
     lines = [_dumps(step.to_dict()) for step in trace.steps]
     w = trace.witness
     ow, mw = bodies.perimeter(w), bodies.area(w)

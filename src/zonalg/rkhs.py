@@ -313,9 +313,11 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 solve = _green_solver(circle, w, base)
                 a = fit(vals)
+                res = residual(a)
                 for _ in range(3):
-                    a = a + fit(residual(a))
-                    if np.abs(residual(a)).max() <= 1e-9 * ((2 * n + ridge) * np.abs(a).max() + np.abs(vals).max()):
+                    a = a + fit(res)
+                    res = residual(a)
+                    if np.abs(res).max() <= 1e-9 * ((2 * n + ridge) * np.abs(a).max() + np.abs(vals).max()):
                         out = np.empty(n)
                         out[order] = a
                         return frozen_array(out)

@@ -350,12 +350,16 @@ class TestSweepForm:
                 padded_angles[zero] = np.concatenate([rng.uniform(0, PI, pad), [0.0, 0.0]])
                 assert bodies.sweep_form(padded_angles, padded_weights, radii).tobytes() == want
 
-    def test_batch_rows_equal_single_calls(self, rng):
-        angles = rng.uniform(0, PI, (2, 3, 8))
-        weights = rng.uniform(-1, 1, (2, 3, 2, 8)) * (rng.random((2, 3, 2, 8)) < 0.7)
-        radii = rng.uniform(-1, 1, (2, 3, 2))
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 40])
+    def test_batch_rows_equal_single_calls(self, rng, c, k):
+        # k on both sides of numpy's 8-term pairwise block: a lone item's
+        # totals must be summed one atom at a time, as a batch row's are
+        angles = rng.uniform(0, PI, (2, 3, k))
+        weights = rng.uniform(-1, 1, (2, 3, c, k)) * (rng.random((2, 3, c, k)) < 0.7)
+        radii = rng.uniform(-1, 1, (2, 3, c))
         batch = bodies.sweep_form(angles, weights, radii)
-        assert batch.shape == (2, 3, 2, 2)
+        assert batch.shape == (2, 3, c, c)
         for i in range(2):
             for j in range(3):
                 assert batch[i, j].tobytes() == bodies.sweep_form(angles[i, j], weights[i, j], radii[i, j]).tobytes()

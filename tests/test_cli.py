@@ -41,6 +41,7 @@ GOLDEN_CASES = [
     (["kernel", "eval", "lifted_sb.json", "--nodes", "8", "--csv"], "kernel_eval_sb.csv"),
     (["kernel", "interp", "widthfn.json", "--ridge", "1e-10"], "kernel_interp.json"),
     (["rotation-fn", "square.json", "segment.json", "--nodes", "8", "--csv"], "rotation_fn.csv"),
+    (["rotation-fn", "square.json", "segment.json", "--nodes", "8"], "rotation_fn.json"),
     (["body", "svg", "rounded.json"], "body_svg_rounded.svg"),
     (["lift", "stats", "lifted_mixed.json"], "lift_stats_mixed.json"),
     (["lift", "stats", "lifted_nodisc.json"], "lift_stats_nodisc.json"),
