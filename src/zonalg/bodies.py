@@ -262,32 +262,18 @@ def atom_form(a1, w1, r1, a2, w2, r2):
     return 2.0 * cross + 2.0 * (r1 * w2.sum(-1) + r2 * w1.sum(-1)) + PI * r1 * r2
 
 
-def _sin_prefix(angles, weights):
-    """sin and cos of the angles, and the running sums of w cos and w sin
-    along the last axis, each with a leading 0.
-
-    Read at i + 1, a running sum holds the atoms up to i; read at i, the
-    atoms before i.  For ascending angles in [0, pi) and j <= i,
-    |sin(a_i - a_j)| = sin a_i cos a_j - cos a_i sin a_j, and for j > i it is
-    the negative, so each sweep over |sin| reads these two sums at i.
-    """
-    sin, cos = np.sin(angles), np.cos(angles)
-    shape = np.shape(weights)
-    sums = np.zeros((2, *shape[:-1], shape[-1] + 1))
-    np.cumsum(weights * cos, axis=-1, out=sums[0, ..., 1:])
-    np.cumsum(weights * sin, axis=-1, out=sums[1, ..., 1:])
-    return sin, cos, sums[0], sums[1]
-
-
 def sin_sweep(angles, weights):
     """Σ_j w_j |sin(a_i - a_j)| at every a_i, in O(k) for sorted angles.
 
     The angles ascend in [0, pi) along the last axis; angles and weights are
-    batched over leading axes.  Each value is two running sums of w cos and
-    w sin (see _sin_prefix), up to and including i, less the rest.
+    batched over leading axes.  |sin(a_i - a_j)| is sin a_i cos a_j - cos a_i
+    sin a_j for j <= i and its negative for j > i, so each value is the
+    running sums of w cos and w sin up to and including i, less the rest.
     """
-    sin, cos, below_cos, below_sin = _sin_prefix(angles, weights)
-    return sin * (2.0 * below_cos[..., 1:] - below_cos[..., -1:]) + cos * (below_sin[..., -1:] - 2.0 * below_sin[..., 1:])
+    sin, cos = np.sin(angles), np.cos(angles)
+    below_cos = np.cumsum(weights * cos, axis=-1)
+    below_sin = np.cumsum(weights * sin, axis=-1)
+    return sin * (2.0 * below_cos - below_cos[..., -1:]) + cos * (below_sin[..., -1:] - 2.0 * below_sin)
 
 
 def sweep_form(angles, weights, radii):

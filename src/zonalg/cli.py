@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         eval=[lifted_file, nodes(2), csv],
         interp=[arg("file", help="width function JSON"), ridge],
     )
-    fixed, rotating = arg("file", help="fixed body JSON"), arg("other", help="rotating zonogon JSON")
+    fixed, rotating = arg("file", help="fixed zonogon JSON"), arg("other", help="rotating zonogon JSON")
     grid = arg("--nodes", type=_int_in(0, max_nodes), default=64, help=f"grid size, at most {max_nodes}")
     command(
         sub, "rotation-fn", _cmd_rotation_fn, fixed, rotating, grid, csv, help="rotation functions E and F over a grid"

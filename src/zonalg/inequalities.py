@@ -177,7 +177,7 @@ def singular_min(u, v) -> tuple[float, float]:
     values = 2.0 * swept[starts]
     tie = 2.0 * (6 * len(phases) + 48) * np.finfo(float).eps * np.abs(wu).sum() * np.abs(wv).sum()
     phi_star = phases[starts][np.argmax(values <= values.min() + tie)]  # the first, as the candidates ascend
-    return float(phi_star), float(atom_form(*atoms_of(u), (va + phi_star)[None], wv, 0.0)[0])
+    return float(phi_star), float(atom_form(*atoms_of(u), va + phi_star, wv, 0.0))
 
 
 @dataclass(frozen=True)

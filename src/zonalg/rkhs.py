@@ -56,9 +56,9 @@ def kernel_vector(phi: float) -> LiftedVector:
 
 
 def evaluate(x: LiftedVector, phi: float) -> float:
-    """Support difference at the normal of phi; equals inner(x, kernel_vector(phi))."""
+    """Support difference at the normal of phi, pi read as the circle point 0; equals inner(x, kernel_vector(phi))."""
     _check_domain(phi)
-    return bodies.support(x.atoms, phi + PI / 2.0)
+    return bodies.support(x.atoms, (0.0 if phi == PI else phi) + PI / 2.0)
 
 
 def sample(x: LiftedVector, n: int) -> tuple[np.ndarray, np.ndarray]:

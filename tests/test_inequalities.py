@@ -241,7 +241,7 @@ class TestSingularMin:
             z.rotation_fn_F(u + z.disc(0.5), v, np.linspace(-PI, PI, 33))
             assert calls == []
             z.singular_min(u, v)
-            assert calls == [(1, len(v.angles))]
+            assert calls == [(len(v.angles),)]
             calls.clear()
 
     def test_memory_is_bounded(self, rng):

@@ -120,6 +120,24 @@ class TestVectorOps:
             assert z.norm_c(lhs - rhs) <= 1e-12 * scale
 
 
+U = z.body([(0.3, 1.0), (1.2, 0.5)], 0.25)
+X, Y = z.lift(S + B, z.segment(0.7, 0.4)), z.lift(z.segment(2.0, 1.5), B)
+
+
+@pytest.mark.parametrize(
+    "operator,function",
+    [
+        pytest.param(lambda: 2.0 * U, lambda: z.scale(U, 2.0), id="Body.__rmul__"),
+        pytest.param(lambda: hash(U), lambda: hash(z.body([(1.2, 0.5), (0.3, 1.0)], 0.25)), id="Body.__hash__"),
+        pytest.param(lambda: X + Y, lambda: z.add(X, Y), id="LiftedVector.__add__"),
+        pytest.param(lambda: -X, lambda: z.neg(X), id="LiftedVector.__neg__"),
+        pytest.param(lambda: 2.0 * X, lambda: z.scale_real(X, 2.0), id="LiftedVector.__rmul__"),
+    ],
+)
+def test_operator_is_its_function(operator, function):
+    assert operator() == function()
+
+
 class TestMeasureExt:
     def test_square_minus_disc(self):
         assert z.measure_ext(SB) == pytest.approx(PI - 3, rel=1e-14)

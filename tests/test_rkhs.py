@@ -12,7 +12,7 @@ from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.cli import _csv, _read_lifted, _read_width_function, run
 from zonalg.errors import DomainError, InvalidInputError, NumericError
 
-from conftest import random_lifted
+from conftest import drawn, random_lifted
 
 DATA = Path(__file__).parent / "data"
 S = UNIT_SQUARE
@@ -79,6 +79,17 @@ class TestEvaluate:
         phi = float(rng.uniform(0, PI))
         lhs = z.evaluate(z.add(x, y), phi)
         assert lhs == pytest.approx(z.evaluate(x, phi) + z.evaluate(y, phi), rel=1e-11, abs=1e-11)
+
+    def test_pi_is_the_point_zero(self, capsys):
+        # 0 and pi are one circle point, so both give the same bits
+        for t in range(200):
+            x = z.lift(*drawn(7, t, 2, 12))
+            assert z.evaluate(x, PI).hex() == z.evaluate(x, 0.0).hex()
+        printed = []
+        for value in ("0", "3.141592653589793"):
+            assert run(["lift", "eval", str(DATA / "lifted_sb.json"), "--value", value]) == 0
+            printed.append(json.loads(capsys.readouterr().out)["value"])
+        assert printed[0].hex() == printed[1].hex()
 
 
 class TestReproducingProperty:
@@ -300,6 +311,16 @@ class TestInterpolate:
     def test_no_nodes_rejected(self):
         with pytest.raises(InvalidInputError, match="^interpolation needs at least one node$"):
             z.interpolate([], [])
+
+    def test_unconverged_solve_raises(self, monkeypatch, capsys):
+        # a solver that returns zeros refines at neither ridge, so the last resort runs
+        monkeypatch.setattr(rkhs, "_green_solver", lambda circle, w, ridge: np.zeros_like)
+        with pytest.raises(NumericError, match="^kernel solve did not converge; retry with another ridge$"):
+            z.interpolate([0.2, 0.9, 2.0], [1.0, 2.0, 3.0], ridge=1e-10)
+        assert run(["kernel", "interp", str(DATA / "widthfn.json"), "--ridge", "1e-10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kernel solve did not converge; retry with another ridge\n"
 
 
 def within_residual_bound(nodes, values, coeffs, ridge):
