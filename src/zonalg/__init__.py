@@ -30,7 +30,6 @@ from .bodies import (
 from .inequalities import (
     ReductionStep,
     ReductionTrace,
-    hyperbolic_witness,
     reduce_pair,
     rotation_fn_E,
     rotation_fn_F,
@@ -43,6 +42,7 @@ from .lifted import (
     deficit,
     eps_form,
     from_body,
+    hyperbolic_witness,
     inner,
     lift,
     measure_ext,

@@ -206,6 +206,12 @@ def atoms_of(x) -> tuple:
     return x if isinstance(x, tuple) else x.atoms
 
 
+def require_zonogon(what: str, *xs) -> None:
+    """The one pure-zonogon check: UnsupportedRepresentationError if any of xs has a disc."""
+    if any(atoms_of(x)[2] for x in xs):
+        raise UnsupportedRepresentationError(f"{what} requires a pure zonogon; polygonize the disc first")
+
+
 def signed_atoms(plus, minus) -> tuple[np.ndarray, np.ndarray, float]:
     """Signed atoms (angles, weights, radius) of [plus, minus]: plus's atoms
     with +, minus's with -, radius r_P - r_M.
@@ -376,8 +382,7 @@ def vertices(a: Body) -> np.ndarray:
     The walk starts at minus the sum of the half-edges and adds the edges in
     order, each coordinate summed as its own 1-D array.
     """
-    if a.disc_radius != 0.0:
-        raise UnsupportedRepresentationError("vertices requires disc_radius = 0; polygonize the disc first")
+    require_zonogon("vertices", a)
     if not len(a.angles):
         return frozen_array([[0.0, 0.0]])
     ux = a.lengths * np.cos(a.angles)

@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from .bodies import PI
 from .errors import DomainError
 
 HALF_LENGTH_RANGE = (0.01, 10.0)
@@ -76,5 +75,5 @@ def draw_atoms(seed: int, trials: range, count: int, max_diangles: int):
     u = (words[..., 1:] >> 11) * 2.0**-53
     scaled = np.exp(LOG_LO + LOG_SPAN * u[..., m:])  # the m log-lengths, the coin, the log-radius
     filled = np.arange(m) < n[..., None]
-    angles, lengths = np.where(filled, PI * u[..., :m], 0.0), np.where(filled, scaled[..., :m], 0.0)
+    angles, lengths = np.where(filled, math.pi * u[..., :m], 0.0), np.where(filled, scaled[..., :m], 0.0)
     return n, angles, lengths, np.where(u[..., 2 * m] < DISC_PROB, scaled[..., m + 1], 0.0)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bodies, generators, lifted
-from .bodies import PI, Body, atom_form, atoms_of, fold, group_starts, merge_atoms, perimeter
-from .errors import DegenerateDirectionError, DomainError, UnsupportedRepresentationError
-from .lifted import LiftedVector, perimeter_ext
+from . import bodies, generators
+from .bodies import PI, Body, atom_form, atoms_of, fold, group_starts, merge_atoms, perimeter, require_zonogon
+from .errors import DomainError
 
 TOL_ABS = 1e-9
 # Relative half-length difference below which a reduction step cancels a
@@ -114,11 +113,6 @@ def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: flo
     return report
 
 
-def _require_zonogon(what: str, *xs) -> None:
-    if any(atoms_of(x)[2] for x in xs):
-        raise UnsupportedRepresentationError(f"{what} requires a pure zonogon; polygonize the disc first")
-
-
 def _pair_sweep(u, v, phis, phase=fold):
     """Sorted points, S(x) = Σ_ij w_i w'_j |sin(x - c_ij)| at each, and the sort order.
 
@@ -143,7 +137,7 @@ def _pair_sweep(u, v, phis, phase=fold):
 def rotation_fn_F(u, v, phis) -> np.ndarray:
     """F at each phi, B(u, v turned by phi) = 2 S(phi mod pi) + 2 r_u Σw_v, S as in _pair_sweep;
     v is a zonogon.  Within E_s + (k_v + 2)·ε·|r_u|·Σ|w_v| of the exact F for phi in [-pi, pi]."""
-    _require_zonogon("rotation_fn_F", v)
+    require_zonogon("rotation_fn_F", v)
     _, swept, order = _pair_sweep(u, v, np.mod(phis, PI), lambda d: np.mod(d, PI))
     values = np.empty(len(order))
     values[order] = swept
@@ -168,7 +162,7 @@ def singular_min(u, v) -> tuple[float, float]:
     between the candidates (each group's first phase), so its minimum over [0, pi)
     is one of them.  Candidates whose F = 2S (_pair_sweep) is within 2E_s of the
     least tie, so atom order picks no winner.  F_min is atom_form's: 0 at equal angles."""
-    _require_zonogon("singular_min", u, v)
+    require_zonogon("singular_min", u, v)
     (_, wu, _), (va, wv, _) = atoms_of(u), atoms_of(v)
     if not (len(wu) and len(wv)):
         raise DomainError("singular_min needs two nonempty zonogons")
@@ -211,7 +205,7 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     The pair is one signed-atom triple, u's atoms then v's as
     bodies.signed_atoms orders them; only the witness is built as a Body.
     """
-    _require_zonogon("reduce_pair", u, v)
+    require_zonogon("reduce_pair", u, v)
     angles, weights, _ = bodies.signed_atoms(u, v)
     k = len(u.angles)  # atoms [:k] are u's, [k:] are v's with weight -d
     steps: list[ReductionStep] = []
@@ -232,13 +226,3 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     if k < len(angles):
         return ReductionTrace(tuple(steps), Body(angles, -weights), -1)
     return ReductionTrace(tuple(steps), Body(angles, weights), 1)
-
-
-def hyperbolic_witness(u: LiftedVector, v: LiftedVector) -> LiftedVector:
-    """The combination u + t*v with zero perimeter; its measure is negative
-    unless the combination is the zero vector."""
-    ov = perimeter_ext(v)
-    if abs(ov) <= 1e-14 * (1.0 + abs(perimeter_ext(u))):
-        raise DegenerateDirectionError("second vector has zero perimeter")
-    t = -perimeter_ext(u) / ov
-    return lifted.add(u, lifted.scale_real(v, t))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bodies
 from .bodies import PI, UNIT_DISC, Body, atom_form, merge_atoms, minkowski_add, signed_atoms, sup_norm
-from .errors import InvalidInputError
+from .errors import DegenerateDirectionError, InvalidInputError
 
 FOUR_PI_SQ = 4.0 * PI * PI
 
@@ -138,3 +138,12 @@ def norm_bp(x: LiftedVector) -> float:
     W = origin since support functions are nonnegative and additive.
     """
     return sup_norm(x.plus) + sup_norm(x.minus)
+
+
+def hyperbolic_witness(u: LiftedVector, v: LiftedVector) -> LiftedVector:
+    """The combination u + t*v with zero perimeter; its measure is negative
+    unless the combination is the zero vector."""
+    ou, ov = perimeter_ext(u), perimeter_ext(v)
+    if abs(ov) <= 1e-14 * (1.0 + abs(ou)):
+        raise DegenerateDirectionError("second vector has zero perimeter")
+    return add(u, scale_real(v, -ou / ov))

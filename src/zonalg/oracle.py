@@ -3,8 +3,8 @@
 Validation counterpart to zonalg.bodies and zonalg.rkhs. The polygon
 arithmetic works on explicit vertex lists and deliberately never calls the
 zonogon closed forms; the Jacobi eigenvalue solver works on a dense matrix
-and never uses the circulant structure behind rkhs.grid_eigenvalues.
-No module of the package imports this one; the tests do.
+and never uses the circulant structure behind rkhs.grid_eigenvalues. No
+package module imports it, and it imports only errors from the package.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import PI
 from .errors import InvalidInputError, NumericError
 
 JACOBI_EPS = 1e-12
@@ -76,7 +75,7 @@ def poly_sum(a: Polygon, b: Polygon) -> Polygon:
     edges = _edges(pa) + _edges(pb)
     if not edges:
         return polygon([tuple(pa[0] + pb[0])])
-    edges.sort(key=lambda e: math.atan2(e[1], e[0]) % (2 * PI))
+    edges.sort(key=lambda e: math.atan2(e[1], e[0]) % (2 * math.pi))
     start = _bottom_vertex(pa) + _bottom_vertex(pb)
     pts = [start.copy()]
     cur = start.copy()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bodies
-from .bodies import PI, frozen_array, segment, sin_sweep, support_many
+from .bodies import ANGLE_TOL, PI, frozen_array, segment, sin_sweep, support_many
 from .errors import DomainError, InvalidInputError, NumericError
 from .lifted import LiftedVector, lift
 
@@ -83,8 +83,8 @@ def _nodes(nodes) -> np.ndarray:
     if len(arr) > MAX_NODES:
         raise InvalidInputError(f"at most {MAX_NODES} kernel nodes, got {len(arr)}")
     _check_domain(arr)
-    if len(arr) >= 2 and np.min(np.diff(np.sort(arr))) <= 1e-12:
-        raise InvalidInputError("gram nodes must be distinct (separation > 1e-12)")
+    if len(arr) >= 2 and np.min(np.diff(np.sort(arr))) <= ANGLE_TOL:
+        raise InvalidInputError(f"gram nodes must be distinct (separation > {ANGLE_TOL})")
     return arr
 
 
@@ -256,17 +256,20 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
 
     O(n) time and memory: no n x n array is built. The nodes lie on the
     circle R/piZ, where pi is the point 0, so nodes 0 and pi are one point
-    of multiplicity 2 (their rows of G are equal). The solve runs on the
-    distinct points (see _green_solver). A merged pair's two coefficients
-    split its group sum evenly and add +-(v_0 - v_pi)/(2 ridge); at ridge 0
-    that needs v_0 = v_pi to 4 ulps, and otherwise the system is singular.
+    of multiplicity 2. G is the Gram matrix on the circle, which _gram_apply
+    applies, so their rows of G are equal (gram(nodes) reads pi itself, and
+    sin(PI) = 1.2e-16 sets its two rows apart in the last bit). The solve
+    runs on the distinct points (see _green_solver). A merged pair's two
+    coefficients split its group sum evenly and add +-(v_0 - v_pi)/(2 ridge);
+    at ridge 0 that needs v_0 = v_pi to 4 ulps, else the system is singular.
     Steps of iterative refinement follow, against the O(n log n) residual of
     _gram_apply: one always, and up to three in all while the residual
     exceeds 1e-9 * ((2n + ridge) * max|a| + max|values|), a bound on
     1e-9 * (||G + ridge I||_inf max|a| + max|values|). If it still does, or
-    the solve breaks down, the solve is redone at ridge * (1 + 2^-20) and
-    refined against the true ridge; NumericError if that fails too. No
-    nodes, or a value that is not finite, is an InvalidInputError.
+    the solve breaks down, the solve is redone at ridge * (1 + 2^-20), if
+    that is another ridge (at ridge 0 it is not), and refined against the
+    true ridge; NumericError if that fails too. No nodes, or a value that
+    is not finite, is an InvalidInputError.
     """
     if ridge < 0:
         raise InvalidInputError(f"ridge must be >= 0, got {ridge}")
@@ -308,7 +311,7 @@ def interpolate(nodes, values, ridge: float = 0.0) -> np.ndarray:
 
     # M is singular at one ridge, and within about 1e-12 of it the first
     # solve fails; the solve at a ridge 2^-20 away then refines at that rate.
-    for base in (ridge, ridge * (1.0 + 2.0**-20)):
+    for base in dict.fromkeys((ridge, ridge * (1.0 + 2.0**-20))):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 solve = _green_solver(circle, w, base)

@@ -29,6 +29,10 @@ class TestCanonicalize:
         a = z.body([], 1.0)
         assert a == B
 
+    def test_equality_with_a_non_body(self):
+        assert UNIT_SQUARE.__eq__(1) is NotImplemented
+        assert UNIT_SQUARE != "square"
+
     def test_drops_zero_length(self):
         a = z.body([(0.0, 0.5), (PI / 2, 0.0)])
         assert len(a.angles) == 1

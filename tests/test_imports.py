@@ -1,7 +1,11 @@
 """The package's import boundaries, read from the source with ast.
 
-Only `cli` knows the JSON wire format, so only it imports `json`; `oracle`
-is the tests' brute-force reference, so no module of the package imports it.
+The package is layered, lowest first: `errors`; `bodies`, `generators` and
+`oracle`; `lifted` and `inequalities`; `rkhs`; `cli`; `__init__` and
+`__main__`.  A module imports only from layers below its own, so `oracle`
+imports only `errors` and shares no code with what it checks.  Only `cli`
+knows the JSON wire format, so only it imports `json`; `oracle` is the
+tests' brute-force reference, so no module of the package imports it.
 `generators.draw_atoms` is the package's one random draw, so no module
 reaches numpy's random generators.  `cli.run` is the one writer of command
 output, so no other function names `stdout`, and `print` writes only to
@@ -31,6 +35,27 @@ def imported_modules(path: Path) -> set[str]:
             names.add(base)
             names.update(f"{base}.{alias.name}" for alias in node.names)
     return names
+
+
+# The package's layers, lowest first.
+LAYERS = [
+    {"errors"}, {"bodies", "generators", "oracle"}, {"lifted", "inequalities"}, {"rkhs"}, {"cli"}, {"__init__", "__main__"}
+]
+LAYER = {stem: level for level, layer in enumerate(LAYERS) for stem in layer}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The stem of every package module the file imports from; "__init__" for the package itself."""
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["zonalg", node.module])) if node.level else node.module or ""
+            # `from zonalg import x` takes module x, or a name that __init__ binds
+            dotted += [f"{base}.{alias.name}" if base == "zonalg" else base for alias in node.names]
+    parts = [name.split(".") for name in dotted]
+    return {p[1] if len(p) > 1 and p[1] in LAYER else "__init__" for p in parts if p[0] == "zonalg"}
 
 
 # Names through which a module would reach a random generator besides draw_atoms.
@@ -79,6 +104,15 @@ def modules():
 
 def test_modules_found():
     assert {"cli", "oracle", "bodies", "lifted", "rkhs"} <= {p.stem for p in modules()}
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in modules()} == set(LAYER)
+
+
+def test_modules_import_only_from_lower_layers():
+    upward = [f"{p.stem} -> {t}" for p in modules() for t in sorted(package_imports(p)) if LAYER[t] >= LAYER[p.stem]]
+    assert upward == []
 
 
 def test_only_cli_imports_json():
@@ -148,3 +182,14 @@ def test_imported_modules_sees_every_form(tmp_path):
     names = imported_modules(path)
     assert {"json", "zonalg.oracle"} <= names
     assert "zonalg.oracle.polygon" in names and "json.loads" in names
+
+
+def test_package_imports_sees_every_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import json\nfrom . import bodies, errors\nfrom .lifted import add\nfrom zonalg.rkhs import gram\n"
+        "def f():\n    import zonalg.cli\n    from zonalg import hyperbolic_witness\n"
+    )
+    assert package_imports(path) == {"bodies", "errors", "lifted", "rkhs", "cli", "__init__"}
+    path.write_text("import zonalg\n")
+    assert package_imports(path) == {"__init__"}

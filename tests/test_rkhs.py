@@ -322,6 +322,45 @@ class TestInterpolate:
         assert captured.out == ""
         assert captured.err == "error: kernel solve did not converge; retry with another ridge\n"
 
+    @pytest.mark.parametrize("ridge,expected", [(0.0, [0.0]), (1e-3, [1e-3, 0.0010000009536743164])])
+    def test_each_distinct_ridge_solved_once(self, monkeypatch, ridge, expected):
+        # at ridge 0 the shifted ridge is 0 too, so the same failed solve does not run twice
+        seen = []
+
+        def zeros(circle, w, base):
+            seen.append(base)
+            return np.zeros_like
+
+        monkeypatch.setattr(rkhs, "_green_solver", zeros)
+        with pytest.raises(NumericError, match="did not converge"):
+            z.interpolate([0.2, 0.9, 2.0], [1.0, 2.0, 3.0], ridge=ridge)
+        assert seen == expected
+
+    def test_breakdown_retried_at_shifted_ridge(self, monkeypatch):
+        # the solve at the given ridge breaks down; the one 2^-20 away is refined against the given ridge
+        ridge, real, seen = 1e-3, rkhs._green_solver, []
+
+        def breaks_at_ridge(circle, w, base):
+            seen.append(base)
+            if base == ridge:
+                raise ZeroDivisionError
+            return real(circle, w, base)
+
+        monkeypatch.setattr(rkhs, "_green_solver", breaks_at_ridge)
+        nodes, values = random_fit_data(6)
+        coeffs = z.interpolate(nodes, values, ridge=ridge)
+        assert seen == [ridge, ridge * (1.0 + 2.0**-20)]
+        residual = np.abs((z.gram(nodes) + ridge * np.eye(6)) @ coeffs - values).max()
+        assert residual <= 1e-9 * ((2 * 6 + ridge) * np.abs(coeffs).max() + np.abs(values).max())
+
+    def test_breakdown_at_every_ridge_raises(self, monkeypatch):
+        def breaks(circle, w, base):
+            raise FloatingPointError
+
+        monkeypatch.setattr(rkhs, "_green_solver", breaks)
+        with pytest.raises(NumericError, match="^kernel solve did not converge; retry with another ridge$"):
+            z.interpolate([0.2, 0.9, 2.0], [1.0, 2.0, 3.0], ridge=1e-3)
+
 
 def within_residual_bound(nodes, values, coeffs, ridge):
     """The benchmark's acceptance test for an interpolation, on the float Gram."""
