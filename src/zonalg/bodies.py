@@ -321,38 +321,41 @@ def sweep_form(angles, weights, radii):
     cumsum) and each total (an add.reduce from -0.0, so that a sum of -0.0
     keeps its sign) adds one atom at a time in sorted order: the bits of a
     loop over the atoms, in a few numpy calls per vector for the whole
-    batch.  The totals are taken with one more column of zeros on the fast
-    axis.  It keeps a lone item (an unbatched call, or one trial replayed
-    alone) on the same path: as a single column, numpy would sum its
-    totals pairwise once it has 8 or more atoms.  The vectors are swept one
-    at a time in shared buffers, so no (c, c, k) array per item is built.
+    batch.  Every array has one more column on the fast axis, an atom of
+    weight 0.  It keeps a lone item (an unbatched call, or one trial
+    replayed alone) on the same path, where numpy would sum a single
+    column's totals pairwise from 8 atoms, and every operand contiguous, so
+    numpy's ufuncs take no buffers.  The vectors are swept one at a time in
+    shared buffers, so no (c, c, k) array per item is built.
     """
     *batch, c, k = np.shape(weights)
     n = math.prod(batch)
-    # (k, n): the flat index of each item's sorted angles, atoms first
-    at = np.argsort(np.reshape(angles, (n, k)), axis=-1, kind="stable").T + k * np.arange(n)
+    if not n:  # an empty batch: no atom for the last column to read
+        return np.zeros((*batch, c, c))
+    # (k, n + 1): the flat index of each item's sorted angles, atoms first, then atom 0 at weight 0
+    at = np.zeros((k, n + 1), dtype=np.intp)
+    at[:, :n] = np.argsort(np.reshape(angles, (n, k)), axis=-1, kind="stable").T + k * np.arange(n)
     a = np.ravel(angles)[at]
-    sin, cos = np.sin(a), np.cos(a, out=a)
-    w = np.zeros((c, k, n + 1))
-    at += (c - 1) * k * np.arange(n)  # now the flat index of its weight in vector 0
+    w = np.empty((c, k, n + 1))
+    at[:, :n] += (c - 1) * k * np.arange(n)  # now the flat index of its weight in vector 0
     for p in range(c):
-        w[p, :, :n] = np.ravel(weights)[at + p * k]
+        w[p] = np.ravel(weights)[at + p * k]
+    w[..., n] = 0.0
     del at
+    sin, cos = np.sin(a), np.cos(a, out=a)
     once = np.empty((c, c, n + 1))
-    sums = np.empty((2, k, n))
-    terms = np.zeros((k, n + 1))
+    sums = np.empty((2, k, n + 1))
     for q in range(c):
         # C and S of x_q: the running sums of w cos and w sin over the atoms before each atom
         sums[:, 0] = 0.0
-        np.multiply(w[q, :-1, :n], cos[:-1], out=sums[0, 1:])
-        np.multiply(w[q, :-1, :n], sin[:-1], out=sums[1, 1:])
+        np.multiply(w[q, :-1], cos[:-1], out=sums[0, 1:])
+        np.multiply(w[q, :-1], sin[:-1], out=sums[1, 1:])
         np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
         below = np.multiply(sin, sums[0], out=sums[0])  # Σ_{j<i} w_j sin(a_i - a_j) over x_q's atoms j
         below -= np.multiply(cos, sums[1], out=sums[1])
         for p in range(c):
             # once[p, q]: the pairs of an atom of x_p with an earlier atom of x_q
-            np.multiply(w[p, :, :n], below, out=terms[:, :n])
-            np.add.reduce(terms, axis=0, out=once[p, q], initial=-0.0)
+            np.add.reduce(np.multiply(w[p], below, out=sums[1]), axis=0, out=once[p, q], initial=-0.0)
     once = once[..., :n]
     r = np.reshape(radii, (n, c)).T
     disc = r[:, None] * np.add.reduce(w, axis=1, initial=-0.0)[None, :, :n]

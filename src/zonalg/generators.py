@@ -7,6 +7,9 @@ on the order trials run in, or on numpy's random generators.  They do depend
 on numpy's CPU dispatch of np.exp, which gives the half-lengths and disc
 radii: its AVX-512 and AVX2 loops round differently, so a drawn length can
 move in its last bits from one CPU to another.
+
+The draw hashes in place, on one word buffer and one scratch buffer that then
+holds the decoded doubles; _mix says why its constants are np.uint64.
 """
 
 from __future__ import annotations
@@ -29,17 +32,24 @@ DISC_PROB = 0.25
 # integer reference.
 
 M64 = (1 << 64) - 1
-GAMMA = 0x9E3779B97F4A7C15
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+FINALIZER = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+LAST_SHIFT = np.uint64(31)
 
 
-def _mix(z):
-    """SplitMix64's finalizer of z: a Python int below 2**64, or a uint64 array.
+def _mix(z, scratch):
+    """SplitMix64's finalizer, in place on the uint64 array z; scratch is a uint64 array of z's shape.
 
-    Never a uint64 scalar: numpy 1.x promotes one with a Python int to float64.
+    The one finalizer: the seed's key folds through it as a one-element array.
+    Products wrap mod 2**64, so no mask is needed.  The constants are np.uint64,
+    so no Python int enters the hash: numpy 1.x promotes a uint64 scalar with a
+    Python int to float64.
     """
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & M64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & M64
-    return z ^ z >> 31
+    for shift, factor in FINALIZER:
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= factor
+    z ^= np.right_shift(z, LAST_SHIFT, out=scratch)
+    return z
 
 
 def draw_atoms(seed: int, trials: range, count: int, max_diangles: int):
@@ -63,17 +73,20 @@ def draw_atoms(seed: int, trials: range, count: int, max_diangles: int):
     """
     if len(trials) and not (0 <= trials[0] <= M64 and 0 <= trials[-1] <= M64):
         raise DomainError(f"trial indices must lie in [0, 2**64), got {trials}")
-    key = 0
+    key, scratch = np.zeros(1, np.uint64), np.empty(1, np.uint64)
     for shift in range(0, max(1, seed.bit_length()), 64):
-        key = _mix(key ^ seed >> shift & M64)
+        key = _mix(key ^ np.uint64(seed >> shift & M64), scratch)
     # the trial indices in uint64; arithmetic mod 2**64 handles a negative step
     t = trials.start % 2**64 + trials.step % 2**64 * np.arange(len(trials), dtype=np.uint64)
     m, slots = max_diangles, 2 * max_diangles + 3
     counters = np.arange(count * slots, dtype=np.uint64).reshape(count, slots) * GAMMA
-    words = _mix(_mix(key + t * GAMMA)[:, None, None] + counters)
+    scratch = np.empty((len(t), count, slots), dtype=np.uint64)
+    words = _mix(np.add(_mix(t * GAMMA + key, np.empty_like(t))[:, None, None], counters), scratch)
     n = (1 + ((words[..., 0] >> 32) * m >> 32)).astype(np.intp)
-    u = (words[..., 1:] >> 11) * 2.0**-53
-    scaled = np.exp(LOG_LO + LOG_SPAN * u[..., m:])  # the m log-lengths, the coin, the log-radius
+    u = np.multiply(np.right_shift(words, 11, out=words), 2.0**-53, out=scratch.view(np.float64))[..., 1:]
     filled = np.arange(m) < n[..., None]
-    angles, lengths = np.where(filled, math.pi * u[..., :m], 0.0), np.where(filled, scaled[..., :m], 0.0)
-    return n, angles, lengths, np.where(u[..., 2 * m] < DISC_PROB, scaled[..., m + 1], 0.0)
+    angles, lengths = np.multiply(u[..., :m], math.pi), np.multiply(u[..., m : 2 * m], LOG_SPAN)
+    np.exp(np.add(lengths, LOG_LO, out=lengths), out=lengths)
+    angles *= filled
+    lengths *= filled
+    return n, angles, lengths, np.where(u[..., 2 * m] < DISC_PROB, np.exp(LOG_LO + LOG_SPAN * u[..., 2 * m + 1]), 0.0)

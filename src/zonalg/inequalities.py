@@ -40,17 +40,22 @@ def _values(kind: str, atoms):
     """Per-trial (lhs, rhs, checked) from the zero-padded atoms of each trial's bodies.
 
     bm's vectors are u and v, the others' x = [u, v] (and y = [u', v']).
-    Their atoms form one list for bodies.sweep_form, each vector's weight
-    row zero off its own atoms.
+    The draw lays the bodies out in the order bodies.signed_atoms joins
+    them, so the trial's one atom list for bodies.sweep_form is a reshape
+    view of the draw's angles.  Each vector's weights are zero off its own
+    atoms; a minus body's are negated as signed_atoms negates them (zero
+    padding to -0.0).  A perimeter sums its vector's full row, zeros
+    included: numpy sums a row pairwise, so its own atoms alone could differ.
     """
-    drawn = [tuple(t[:, i] for t in atoms) for i in range(CAMPAIGN_BODIES[kind])]
-    vectors = drawn if kind == "bm" else [bodies.signed_atoms(*drawn[i : i + 2]) for i in range(0, len(drawn), 2)]
-    angles = np.concatenate([v[0] for v in vectors], axis=-1)
-    trials, k = angles.shape
-    weights = np.zeros((trials, len(vectors), k))
-    for p, (_, w, _) in enumerate(vectors):
-        weights[:, p, p * w.shape[-1] : (p + 1) * w.shape[-1]] = w
-    x = angles, weights, np.stack([v[2] for v in vectors], axis=-1)
+    angles, lengths, radii = atoms
+    trials, count, m = angles.shape
+    per = 1 if kind == "bm" else 2  # bodies per vector
+    weights = np.zeros((trials, count // per, count * m))
+    joint = weights.reshape(trials, count // per, count, m)
+    for i in range(count):  # body i is vector i // per's, negated when i % per
+        (np.negative if i % per else np.positive)(lengths[:, i], out=joint[:, i // per, i])
+    del atoms, lengths  # free before the sweep, unless the caller holds them
+    x = angles.reshape(trials, count * m), weights, radii if per == 1 else radii[:, ::2] - radii[:, 1::2]
     b = bodies.sweep_form(*x)
     all_checked = np.ones(trials, dtype=bool)
     if kind == "bm":  # area(u + v) = area(u) + 2 B(u, v) + area(v)
@@ -78,8 +83,7 @@ def campaign_values(kind: str, seed: int, trials: range, max_diangles: int = 10)
     within one trial's row, so a trial's values are the same bits alone or
     in any batch.
     """
-    _, angles, lengths, radii = generators.draw_atoms(seed, trials, CAMPAIGN_BODIES[kind], max_diangles)
-    return _values(kind, (angles, lengths, radii))
+    return _values(kind, generators.draw_atoms(seed, trials, CAMPAIGN_BODIES[kind], max_diangles)[1:])
 
 
 def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: float = TOL_ABS) -> dict:

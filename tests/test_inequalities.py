@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import zonalg as z
-from zonalg import bodies, inequalities, lifted
+from zonalg import bodies, generators, inequalities, lifted
 from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import (
     DegenerateDirectionError,
@@ -535,6 +535,38 @@ def schwarz_tolerance(seed, trial, max_diangles, ref_rhs):
     return float(tolerance)
 
 
+def joined_values(kind, atoms):
+    """The campaign's (lhs, rhs, checked) with each vector's atoms joined by signed_atoms.
+
+    The reference for inequalities._values: fresh concatenations of the
+    signed atoms and an np.stack of the radii, then sweep_form, and
+    perimeter of the joined vectors.  _values reads the same atom list as a
+    view of the draw, and must give the same bits.
+    """
+    drawn = [tuple(t[:, i] for t in atoms) for i in range(inequalities.CAMPAIGN_BODIES[kind])]
+    vectors = drawn if kind == "bm" else [bodies.signed_atoms(*drawn[i : i + 2]) for i in range(0, len(drawn), 2)]
+    angles = np.concatenate([v[0] for v in vectors], axis=-1)
+    trials, k = angles.shape
+    weights = np.zeros((trials, len(vectors), k))
+    for p, (_, w, _) in enumerate(vectors):
+        weights[:, p, p * w.shape[-1] : (p + 1) * w.shape[-1]] = w
+    x = angles, weights, np.stack([v[2] for v in vectors], axis=-1)
+    b = bodies.sweep_form(*x)
+    all_checked = np.ones(trials, dtype=bool)
+    if kind == "bm":
+        mu, mv = b[:, 0, 0], b[:, 1, 1]
+        return np.sqrt(mu + 2.0 * b[:, 0, 1] + mv), np.sqrt(mu) + np.sqrt(mv), all_checked
+    o = bodies.perimeter(x)
+    if kind == "iso":
+        return o[:, 0] * o[:, 0], 4.0 * PI * b[:, 0, 0], all_checked
+    mx, my, bxy = b[:, 0, 0], b[:, 1, 1], b[:, 0, 1]
+    if kind == "bmgen":
+        return bxy * bxy, mx * my, (mx > 0) & (my > 0)
+    ox, oy = o[:, 0], o[:, 1]
+    dx, dy = ox * ox - 4.0 * PI * mx, oy * oy - 4.0 * PI * my
+    return np.sqrt(np.maximum(dx, 0.0)) * np.sqrt(np.maximum(dy, 0.0)), ox * oy - 4.0 * PI * bxy, all_checked
+
+
 # Negative tolerances split the trials into violations and passes, so that
 # the counts test the violation rules themselves.
 SPLIT_TOL = {"iso": -1.1, "bm": -0.1, "bmgen": -0.4, "schwarz": -0.85}
@@ -622,6 +654,32 @@ class TestCampaign:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("max_diangles", [1, 2, 3, 10, 100, 300])
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_values_match_joined_vectors(self, kind, max_diangles):
+        trials = 60 if max_diangles <= 10 else 12
+        for seed in (0, 7, 2**70 + 3):
+            for chosen in (range(trials), *(range(i, i + 1) for i in (0, 1, trials // 2, trials - 1))):
+                got = inequalities.campaign_values(kind, seed, chosen, max_diangles)
+                drawn = generators.draw_atoms(seed, chosen, inequalities.CAMPAIGN_BODIES[kind], max_diangles)
+                want = joined_values(kind, drawn[1:])
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (seed, chosen)
+
+    @pytest.mark.parametrize("kind", sorted(inequalities.CAMPAIGN_BODIES))
+    def test_chunk_working_set(self, kind):
+        # one 200-trial chunk at width 10: the draw, its joint atom list and
+        # sweep_form's buffers, with no per-chunk copies of the draw
+        bound = {"iso": 448, "bm": 448, "bmgen": 896, "schwarz": 896}[kind] * 1024
+        inequalities.campaign(kind, 200, 1)
+        for seed in (2, 3):
+            tracemalloc.start()
+            try:
+                inequalities.campaign(kind, 200, seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (seed, peak)
 
     def test_trial_index_below_2_64(self):
         # draw_atoms' counter is a uint64, so trial 2**64 would repeat trial 0
