@@ -111,11 +111,12 @@ def merge_atoms(angles: np.ndarray, weights: np.ndarray, near: float = 0.0):
     """
     order = np.lexsort((weights, angles))
     a, w = angles[order], weights[order]
-    starts = group_starts(a)
-    first = starts.nonzero()[0]
-    if len(first) == len(a):  # nothing merges; a lone atom's |sum| is its peak
+    # Every gap apart (a NaN gap is not): each atom is its own group, and its |sum| is its peak.
+    if (a[1:] - a[:-1] > ANGLE_TOL).all():
         keep = w != 0.0
         return a[keep], w[keep], None
+    starts = group_starts(a)
+    first = starts.nonzero()[0]
     sums = np.zeros(len(first))
     np.add.at(sums, np.add.accumulate(starts, dtype=np.intp) - 1, w)  # in order: (w1 + w2) + w3 ...
     if np.count_nonzero(np.isfinite(sums)) < len(sums):
@@ -132,8 +133,8 @@ def fold(angles: np.ndarray) -> np.ndarray:
     """Angles mod pi in [0, pi); within ANGLE_TOL below pi goes to 0, so no
     group wraps around, and -0.0 goes to +0.0."""
     folded = np.fmod(angles, PI)
-    folded[folded < 0.0] += PI
-    folded[(folded == 0.0) | (PI - folded <= ANGLE_TOL)] = 0.0
+    folded += np.where(folded < 0.0, PI, 0.0)  # -0.0 + 0.0 is +0.0
+    folded[PI - folded <= ANGLE_TOL] = 0.0
     return folded
 
 
@@ -259,7 +260,8 @@ def atom_form(a1, w1, r1, a2, w2, r2):
     k2 the atom counts and ε the machine epsilon, and equal angles give
     exactly 0.
     """
-    a1, w1, a2, w2 = (np.asarray(t, dtype=float) for t in (a1, w1, a2, w2))
+    a1, w1 = np.asarray(a1, dtype=float), np.asarray(w1, dtype=float)
+    a2, w2 = np.asarray(a2, dtype=float), np.asarray(w2, dtype=float)
     s1, c1 = np.sin(a1), np.cos(a1)
     s2, c2 = (s1, c1) if a2 is a1 else (np.sin(a2), np.cos(a2))
     sines = s1[..., :, None] * c2[..., None, :]
@@ -408,14 +410,15 @@ def sup_norm(a) -> float:
     angles, weights, _ = atoms_of(a)
     thetas = np.array([0.0])
     if len(angles):
-        kinks = np.unique(np.mod(angles + PI / 2, PI))
-        mids = 0.5 * (kinks + np.append(kinks[1:], kinks[0] + PI))
+        kinks = np.sort(np.mod(angles + PI / 2, PI))
+        kinks = kinks[np.concatenate(([True], kinks[1:] != kinks[:-1]))]
+        mids = 0.5 * (kinks + np.concatenate((kinks[1:], kinks[:1] + PI)))
         signs = np.sign(np.cos(mids[:, None] - angles))
         A = signs @ (weights * np.cos(angles))
         B = signs @ (weights * np.sin(angles))
         moving = (A != 0.0) | (B != 0.0)
         thetas = np.concatenate([kinks, np.mod(np.arctan2(B[moving], A[moving]), PI)])
-    return float(np.max(np.abs(support_many(a, thetas))))
+    return float(np.abs(support_many(a, thetas)).max())
 
 
 def hausdorff(a: Body, b: Body) -> float:

@@ -23,6 +23,9 @@ FOUR_PI_SQ = 4.0 * PI * PI
 
 @dataclass(frozen=True)
 class LiftedVector:
+    """[plus, minus].  When `lift` keeps its input Bodies (see there), they hold
+    the Body invariant as their maker did.  Atoms and forms are kept once taken."""
+
     plus: Body
     minus: Body
 
@@ -30,6 +33,16 @@ class LiftedVector:
     def atoms(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Signed atoms (angles, weights, radius): plus with +, minus with -, radius r_P - r_M."""
         return signed_atoms(self.plus, self.minus)
+
+    @cached_property
+    def perimeter(self) -> float:
+        """perimeter_ext: bodies.perimeter of the signed atoms."""
+        return float(bodies.perimeter(self.atoms))
+
+    @cached_property
+    def measure(self) -> float:
+        """measure_ext: atom_form of the signed atoms with themselves."""
+        return float(atom_form(*self.atoms, *self.atoms))
 
     @property
     def is_zero(self) -> bool:
@@ -55,12 +68,19 @@ def lift(u: Body, v: Body) -> LiftedVector:
     remainder keeps its own side's angle; the smaller disc cancels too.
     A group that chains past ANGLE_TOL can leave two kept atoms within it
     of each other; they are merged again, so lifting a lift changes nothing.
+
+    When the merge drops no atom, the Body invariant (sorted angles, gaps
+    over ANGLE_TOL, lengths > 0) makes the split u's atoms and v's as they
+    are; if also the smaller radius is +0.0, whose subtraction moves no
+    bit, u and v themselves are the lift.
     """
     angles, weights, _ = merge_atoms(*signed_atoms(u, v)[:2])
+    r = min(u.disc_radius, v.disc_radius)
+    if len(angles) == len(u.angles) + len(v.angles) and r == 0.0 and math.copysign(1.0, r) > 0.0:
+        return LiftedVector(u, v)
     while np.count_nonzero(np.diff(angles) <= bodies.ANGLE_TOL):
         angles, weights, _ = merge_atoms(angles, weights)
     plus = weights > 0.0
-    r = min(u.disc_radius, v.disc_radius)
     return LiftedVector(
         Body(angles[plus], weights[plus], u.disc_radius - r), Body(angles[~plus], -weights[~plus], v.disc_radius - r)
     )
@@ -92,16 +112,16 @@ def scale_real(x: LiftedVector, lam: float) -> LiftedVector:
 
 def measure_ext(x: LiftedVector) -> float:
     """Quadratic extension of area; may be negative."""
-    return float(atom_form(*x.atoms, *x.atoms))
+    return x.measure
 
 
 def bilinear_M(x: LiftedVector, y: LiftedVector) -> float:
     """Symmetric bilinear form polarizing measure_ext."""
-    return float(atom_form(*x.atoms, *y.atoms))
+    return x.measure if y is x else float(atom_form(*x.atoms, *y.atoms))
 
 
 def perimeter_ext(x: LiftedVector) -> float:
-    return float(bodies.perimeter(x.atoms))
+    return x.perimeter
 
 
 def deficit(x: LiftedVector) -> float:

@@ -583,3 +583,75 @@ def test_json_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
             cli._read_body(str(path))
+
+
+# The previous forms of rewritten primitives, kept as references: the
+# rewrites take fewer numpy calls and must keep every bit.
+
+
+def reference_fold(angles):
+    folded = np.fmod(angles, PI)
+    folded[folded < 0.0] += PI
+    folded[(folded == 0.0) | (PI - folded <= ANGLE_TOL)] = 0.0
+    return folded
+
+
+def reference_sup_norm(a):
+    angles, weights, _ = bodies.atoms_of(a)
+    thetas = np.array([0.0])
+    if len(angles):
+        kinks = np.unique(np.mod(angles + PI / 2, PI))
+        mids = 0.5 * (kinks + np.append(kinks[1:], kinks[0] + PI))
+        signs = np.sign(np.cos(mids[:, None] - angles))
+        A = signs @ (weights * np.cos(angles))
+        B = signs @ (weights * np.sin(angles))
+        moving = (A != 0.0) | (B != 0.0)
+        thetas = np.concatenate([kinks, np.mod(np.arctan2(B[moving], A[moving]), PI)])
+    return float(np.max(np.abs(bodies.support_many(a, thetas))))
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestRewrittenPrimitives:
+    def test_fold_keeps_its_bits(self, rng):
+        multiples = np.arange(-318_310, 318_310, 97) * PI  # multiples of pi up to 1e6
+        values = np.concatenate(
+            [
+                [-0.0, 0.0, PI, -PI, PI - 1e-13, -PI + 1e-13, -1e-300, 1e-300, np.nan],
+                multiples,
+                np.nextafter(multiples, np.inf),
+                np.nextafter(multiples, -np.inf),
+                rng.uniform(-4.0, 4.0, 10_000),
+            ]
+        )
+        assert bits(bodies.fold(values.copy())) == bits(reference_fold(values.copy()))
+        assert bits(bodies.fold(np.array([-0.0]))) == bits([0.0])
+
+    def test_merge_keeps_one_atom_per_group(self, rng):
+        # merge_atoms skips group_starts when every sorted gap is over
+        # ANGLE_TOL, a NaN gap not; the rest of the merge is as before, so its
+        # bits stay when it keeps as many atoms as group_starts opens groups.
+        for _ in range(2000):
+            k = int(rng.integers(0, 8))
+            gaps = rng.choice([0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 1e3], size=k) * ANGLE_TOL
+            a = (0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 1.0))) + np.cumsum(gaps)  # from 0.0, exact gaps
+            if k and rng.random() < 0.1:
+                a[int(rng.integers(k))] = np.nan
+            kept, _, _ = bodies.merge_atoms(a, rng.uniform(0.5, 2.0, k))
+            assert len(kept) == np.count_nonzero(bodies.group_starts(np.sort(a))), a
+
+    def test_sup_norm_keeps_its_bits(self, rng):
+        # coinciding kinks: shared directions, repeated angles and exact
+        # multiples of pi/8, with weights of both signs
+        for _ in range(500):
+            k = int(rng.integers(0, 12))
+            angles = rng.integers(0, 8, k) * (PI / 8)
+            weights = rng.uniform(-2.0, 2.0, k)
+            triple = (angles, weights, float(rng.uniform(-1.0, 1.0)))
+            assert bits(bodies.sup_norm(triple)) == bits(reference_sup_norm(triple))
+            a = random_body(rng, 12)
+            shared = z.body([(t, float(rng.uniform(0.01, 5.0))) for t in a.angles[: int(rng.integers(0, 13))]])
+            for x in (a, bodies.signed_atoms(a, shared), bodies.signed_atoms(a, z.scale(a, 2.0))):
+                assert bits(bodies.sup_norm(x)) == bits(reference_sup_norm(x))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zonalg as z
-from zonalg import cli
+from zonalg import bodies, cli
 from zonalg.bodies import ANGLE_TOL, PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import InvalidInputError
 from zonalg.lifted import DISC_VECTOR, ZERO, LiftedVector
@@ -330,3 +330,88 @@ def test_lifted_json_roundtrip(rng, tmp_path):
         x = random_lifted(rng)
         path.write_text(cli._dumps(cli._lifted_dict(x)))
         assert cli._read_lifted(str(path)) == x
+
+
+def reference_lift(u, v):
+    """lift's full merge-and-split path, which it skips when nothing merges."""
+    angles, weights, _ = bodies.merge_atoms(*bodies.signed_atoms(u, v)[:2])
+    while np.count_nonzero(np.diff(angles) <= ANGLE_TOL):
+        angles, weights, _ = bodies.merge_atoms(angles, weights)
+    plus = weights > 0.0
+    r = min(u.disc_radius, v.disc_radius)
+    return LiftedVector(
+        bodies.Body(angles[plus], weights[plus], u.disc_radius - r), bodies.Body(angles[~plus], -weights[~plus], v.disc_radius - r)
+    )
+
+
+def body_bits(a) -> tuple[bytes, bytes, bytes]:
+    return a.angles.tobytes(), a.lengths.tobytes(), np.float64(a.disc_radius).tobytes()
+
+
+def lift_pairs(rng, count):
+    """Random canonical pairs: v's atoms lie at fresh angles, at u's angles
+    exactly (once with u's lengths) or 0.5-2 ANGLE_TOL from them; either side
+    may be empty, and the discs are 0.0, -0.0, drawn or equal."""
+    for _ in range(count):
+        ku, kv = (int(k) for k in rng.integers(0, 8, 2))
+        ua = rng.uniform(0.0, PI, ku)
+        u = bodies.canonicalize(ua, np.exp(rng.uniform(-3.0, 2.0, ku)))
+        how = rng.choice(["fresh", "shared", "same", "near"], size=kv)
+        anchors = u.angles[rng.integers(0, len(u.angles), kv)] if len(u.angles) else rng.uniform(0.0, PI, kv)
+        offsets = rng.choice([-1.0, 1.0], kv) * rng.uniform(0.5, 2.0, kv) * ANGLE_TOL
+        va = np.where(how == "fresh", rng.uniform(0.0, PI, kv), anchors + np.where(how == "near", offsets, 0.0))
+        vw = np.exp(rng.uniform(-3.0, 2.0, kv))
+        if len(u.angles):
+            same = how == "same"
+            vw[same] = u.lengths[np.searchsorted(u.angles, va[same])]
+        v = bodies.canonicalize(va, vw)
+        discs = [0.0, -0.0, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0))]
+        du, dv = (discs[int(i)] for i in rng.integers(0, 4, 2))
+        if rng.random() < 0.1:
+            dv = du
+        yield bodies.Body(u.angles, u.lengths, du), bodies.Body(v.angles, v.lengths, dv)
+
+
+class TestLiftKeepsItsBits:
+    def test_lift_is_the_merge_and_split(self, rng):
+        kept = 0
+        for u, v in lift_pairs(rng, 2500):
+            x, want = z.lift(u, v), reference_lift(u, v)
+            assert (body_bits(x.plus), body_bits(x.minus)) == (body_bits(want.plus), body_bits(want.minus)), (u, v)
+            assert z.lift(x.plus, x.minus) == x
+            kept += x.plus is u and x.minus is v
+        assert 200 <= kept <= 2300, kept  # both paths ran
+
+    def test_lift_stats_is_each_form_on_its_own(self, rng):
+        # _lift_stats reads each form once; its values are those of the forms
+        # called one by one on fresh vectors, and of their formulas written out.
+        for u, v in lift_pairs(rng, 300):
+            x = z.lift(u, v)
+            got = cli._lift_stats(x)
+
+            def fresh():
+                return LiftedVector(x.plus, x.minus)
+
+            one_by_one = {
+                "measure": z.measure_ext(fresh()),
+                "perimeter": z.perimeter_ext(fresh()),
+                "deficit": z.deficit(fresh()),
+                "norm": z.norm(fresh()),
+                "norm_c": z.norm_c(fresh()),
+                "norm_bp": z.norm_bp(fresh()),
+            }
+            m = float(bodies.atom_form(*x.atoms, *x.atoms))
+            o = float(bodies.perimeter(x.atoms))
+            written = {
+                "measure": m,
+                "perimeter": o,
+                "deficit": o * o - 4.0 * PI * m,
+                "norm": math.sqrt(max((2.0 * o * o - 4.0 * PI * m) / (4.0 * PI * PI), 0.0)),
+                "norm_c": bodies.sup_norm(x.atoms),
+                "norm_bp": bodies.sup_norm(x.plus) + bodies.sup_norm(x.minus),
+            }
+            for want in (one_by_one, written):
+                assert {k: np.float64(g).tobytes() for k, g in got.items()} == {
+                    k: np.float64(w).tobytes() for k, w in want.items()
+                }
+            assert np.float64(z.bilinear_M(x, x)).tobytes() == np.float64(z.bilinear_M(x, fresh())).tobytes()
