@@ -22,6 +22,7 @@ from .errors import InvalidInputError, UnsupportedRepresentationError
 
 PI = math.pi
 ANGLE_TOL = 1e-12
+EPS = np.finfo(float).eps
 
 
 def frozen_array(values) -> np.ndarray:
@@ -47,6 +48,7 @@ class Body:
     def __post_init__(self):
         object.__setattr__(self, "angles", frozen_array(self.angles))
         object.__setattr__(self, "lengths", frozen_array(self.lengths))
+        object.__setattr__(self, "disc_radius", float(self.disc_radius) + 0.0)  # -0.0 + 0.0 is +0.0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Body):
@@ -256,9 +258,7 @@ def atom_form(a1, w1, r1, a2, w2, r2):
     depend on the other items in the batch.  Each |sin(a - b)| is taken as
     |sin a cos b - cos a sin b|, one sin and cos per atom (per vector when
     a2 is a1).  With sin and cos within 1 ulp, B is off by at most
-    (k1 + k2 + 16)·ε·(Σ|w1|Σ|w2| + |r1|Σ|w2| + |r2|Σ|w1| + |r1 r2|), k1 and
-    k2 the atom counts and ε the machine epsilon, and equal angles give
-    exactly 0.
+    atom_form_bound, and equal angles give exactly 0.
     """
     a1, w1 = np.asarray(a1, dtype=float), np.asarray(w1, dtype=float)
     a2, w2 = np.asarray(a2, dtype=float), np.asarray(w2, dtype=float)
@@ -268,6 +268,16 @@ def atom_form(a1, w1, r1, a2, w2, r2):
     sines -= c1[..., :, None] * s2[..., None, :]
     cross = (w1[..., None, :] @ np.abs(sines, out=sines) @ w2[..., :, None])[..., 0, 0]
     return 2.0 * cross + 2.0 * (r1 * w2.sum(-1) + r2 * w1.sum(-1)) + PI * r1 * r2
+
+
+def _eps_scaled(c, w1, r1, w2, r2):
+    """c·ε·(Σ|w1|Σ|w2| + |r1|Σ|w2| + |r2|Σ|w1| + |r1 r2|), as c·ε·(Σ|w1| + |r1|)·(Σ|w2| + |r2|), batched."""
+    return c * EPS * (np.abs(w1).sum(-1) + abs(r1)) * (np.abs(w2).sum(-1) + abs(r2))
+
+
+def atom_form_bound(w1, r1, w2, r2):
+    """The bound on |atom_form - B_exact| at the given doubles, batched as atom_form; k1, k2 the atom counts."""
+    return _eps_scaled(np.shape(w1)[-1] + np.shape(w2)[-1] + 16, w1, r1, w2, r2)
 
 
 def sin_sweep(angles, weights):
@@ -308,14 +318,12 @@ def sweep_form(angles, weights, radii):
     before atom i.  Each running sum read at i is off by at most
     (i + 2)·ε/2·W_i, so a row sin a_i C_i - cos a_i S_i is off by at most
     (0.71 i + 3.5)·ε·W_i, and its product with w_i and the sum over the rows
-    add k·ε/2·|w_i|·W_i more.  With the disc terms and π's rounding,
-
-        |B - B_exact| <= (3k + 10)·ε·(Σ|w_p|Σ|w_q| + |r_p|Σ|w_q| + |r_q|Σ|w_p| + |r_p r_q|),
-
-    k the number of atoms to which x_p or x_q gives a nonzero weight.  A
-    row's error scales with the W_i before it, so when the weights are
-    positive and any two angles lie more than (0.71k + 3.5)·ε apart mod pi,
-    every row is nonnegative and so is the area, whatever the weights.
+    add k·ε/2·|w_i|·W_i more, k the number of atoms to which x_p or x_q
+    gives a nonzero weight.  With the disc terms and π's rounding,
+    |B - B_exact| is at most sweep_form_bound(weights, radii).  A row's
+    error scales with the W_i before it, so when the weights are positive
+    and any two angles lie more than (0.71k + 3.5)·ε apart mod pi, every
+    row is nonnegative and so is the area, whatever the weights.
 
     The sums run down the atom axis: the sorted atoms lie along axis 0 and
     the flattened batch along the last, fast axis.  numpy sums pairwise
@@ -366,6 +374,12 @@ def sweep_form(angles, weights, radii):
     return np.moveaxis(b, -1, 0).reshape(*batch, c, c)
 
 
+def sweep_form_bound(weights, radii):
+    """The (..., c, c) bounds on sweep_form's B(x_p, x_q) for arrays weights (..., c, k) and radii (..., c)."""
+    k = np.count_nonzero((weights != 0.0)[..., :, None, :] | (weights != 0.0)[..., None, :, :], axis=-1)
+    return _eps_scaled(3 * k + 10, weights[..., :, None, :], radii[..., :, None], weights[..., None, :, :], radii[..., None, :])
+
+
 def area(a: Body) -> float:
     return float(atom_form(*a.atoms, *a.atoms))
 
@@ -374,6 +388,12 @@ def perimeter(a):
     """4 Σw + 2πr of a Body, a LiftedVector (perimeter_ext) or an atom triple, batched over leading axes."""
     _, weights, radius = atoms_of(a)
     return 4.0 * weights.sum(-1) + 2.0 * PI * radius
+
+
+def perimeter_bound(weights, radius):
+    """Bound on |perimeter - exact|, batched as perimeter: k nonzero weights sum within (k - 1)·ε/2·Σ|w| in any order
+    (Higham 2002, §4.2); π, r's product and the last add take ε/2·(4Σ|w| + 2π|r|) each; it is twice that total."""
+    return (np.count_nonzero(weights, axis=-1) + 2) * EPS * (4.0 * np.abs(weights).sum(-1) + 2.0 * PI * abs(radius))
 
 
 def mixed_area(a: Body, b: Body) -> float:

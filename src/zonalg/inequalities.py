@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies, generators
-from .bodies import PI, Body, atom_form, atoms_of, fold, group_starts, merge_atoms, perimeter, require_zonogon
+from .bodies import EPS, PI, Body, _eps_scaled, atom_form, atoms_of, fold, group_starts, merge_atoms, perimeter, require_zonogon
 from .errors import DomainError
 
 TOL_ABS = 1e-9
@@ -120,16 +120,15 @@ def campaign(kind: str, trials: int, seed: int, max_diangles: int = 10, tol: flo
 def _pair_sweep(u, v, phis, phase=fold):
     """Sorted points, S(x) = Σ_ij w_i w'_j |sin(x - c_ij)| at each, and the sort order.
 
-    The points are the phases c_ij = phase(a_i - b_j) in [0, pi], then the phis
-    in [0, pi] at weight 0, swept once by bodies.sin_sweep: O(M log M) time, O(M) memory.
-    To first order, with P = Σ|w_u|Σ|w_v| and sin, cos within 1 ulp (Higham
-    2002, §4.2): rounding the points (a - b, the PI fold or np.mod adds, 0.56ε
-    below pi, np.mod for a phi in [-pi, pi]) moves S by under 6εP; the terms w w' cos c, w w' sin c
-    are off by 2ε|w w'|, the running sums by (M + 3)·ε/2·P, and sin_sweep makes
-    (6M + 27)·ε/2·P in all: |2S - 2S_exact| <= E_s = (6M + 48)·ε·P.  Not counted,
-    with the default phase only: fold's move of a phase within ANGLE_TOL below
-    pi to 0, which singular_min keeps, as for its candidates; rotation_fn_F
-    takes the phases mod pi, which moves none."""
+    The points are the phases c_ij = phase(a_i - b_j) in [0, pi], then the phis in [0, pi] at
+    weight 0, swept once by bodies.sin_sweep: O(M log M) time, O(M) memory.  To first order, with
+    P = Σ|w_u|Σ|w_v| and sin, cos within 1 ulp (Higham 2002, §4.2): rounding the points (a - b, the
+    PI fold or np.mod adds, 0.56ε below pi, np.mod for a phi in [-pi, pi]) moves S by under 6εP;
+    the terms w w' cos c, w w' sin c are off by 2ε|w w'|, the running sums by (M + 3)·ε/2·P, and
+    sin_sweep makes (6M + 27)·ε/2·P in all: |2S - 2S_exact| <= E_s, pair_sweep_bound at r_u = 0.
+    Not counted, with the default phase only: fold's move of a phase within ANGLE_TOL below pi to
+    0, which singular_min keeps, as for its candidates; rotation_fn_F takes the phases mod pi,
+    which moves none."""
     (ua, uw, _), (va, vw, _) = atoms_of(u), atoms_of(v)
     points = np.concatenate([phase(np.subtract.outer(ua, va).ravel()), phis])
     weights = np.concatenate([np.multiply.outer(uw, vw).ravel(), np.zeros(len(phis))])
@@ -138,9 +137,15 @@ def _pair_sweep(u, v, phis, phase=fold):
     return points, bodies.sin_sweep(points, weights[order]), order
 
 
+def pair_sweep_bound(wu, ru, wv, points):
+    """E_s of _pair_sweep over `points` points, plus the rounding of rotation_fn_F's disc term
+    2 r_u Σw_v: a sum of k_v weights, a product and the add to 2S (0 for r_u = 0)."""
+    return _eps_scaled(6 * points + 48, wu, 0.0, wv, 0.0) + (len(wv) + 2) * EPS * abs(ru) * np.abs(wv).sum()
+
+
 def rotation_fn_F(u, v, phis) -> np.ndarray:
-    """F at each phi, B(u, v turned by phi) = 2 S(phi mod pi) + 2 r_u Σw_v, S as in _pair_sweep;
-    v is a zonogon.  Within E_s + (k_v + 2)·ε·|r_u|·Σ|w_v| of the exact F for phi in [-pi, pi]."""
+    """F at each phi, B(u, v turned by phi) = 2 S(phi mod pi) + 2 r_u Σw_v, S as in _pair_sweep; v is a
+    zonogon.  For phi in [-pi, pi], F is within pair_sweep_bound(w_u, r_u, w_v, k_u k_v + len(phis))."""
     require_zonogon("rotation_fn_F", v)
     _, swept, order = _pair_sweep(u, v, np.mod(phis, PI), lambda d: np.mod(d, PI))
     values = np.empty(len(order))
@@ -173,7 +178,7 @@ def singular_min(u, v) -> tuple[float, float]:
     phases, swept, _ = _pair_sweep(u, v, np.empty(0))
     starts = group_starts(phases)
     values = 2.0 * swept[starts]
-    tie = 2.0 * (6 * len(phases) + 48) * np.finfo(float).eps * np.abs(wu).sum() * np.abs(wv).sum()
+    tie = 2.0 * pair_sweep_bound(wu, 0.0, wv, len(phases))
     phi_star = phases[starts][np.argmax(values <= values.min() + tie)]  # the first, as the candidates ascend
     return float(phi_star), float(atom_form(*atoms_of(u), va + phi_star, wv, 0.0))
 

@@ -71,12 +71,12 @@ def lift(u: Body, v: Body) -> LiftedVector:
 
     When the merge drops no atom, the Body invariant (sorted angles, gaps
     over ANGLE_TOL, lengths > 0) makes the split u's atoms and v's as they
-    are; if also the smaller radius is +0.0, whose subtraction moves no
-    bit, u and v themselves are the lift.
+    are; if also the smaller radius is 0 (+0.0, as Body stores it), whose
+    subtraction moves no bit, u and v themselves are the lift.
     """
     angles, weights, _ = merge_atoms(*signed_atoms(u, v)[:2])
     r = min(u.disc_radius, v.disc_radius)
-    if len(angles) == len(u.angles) + len(v.angles) and r == 0.0 and math.copysign(1.0, r) > 0.0:
+    if len(angles) == len(u.angles) + len(v.angles) and r == 0.0:
         return LiftedVector(u, v)
     while np.count_nonzero(np.diff(angles) <= bodies.ANGLE_TOL):
         angles, weights, _ = merge_atoms(angles, weights)

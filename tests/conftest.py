@@ -29,6 +29,21 @@ def drawn(seed, trial, count, max_diangles, zonogons=False):
     ]
 
 
+def mixed_area_error(got, x, y, turn=0.0):
+    """|got - B(x, y)|, B the 50-digit atom_form of the atom triples x and y at their doubles with y's
+    angles turned by `turn`; each |sin(a - b)| is |sin a cos b - cos a sin b| from one sin and cos per atom."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        sides = []
+        for (angles, weights, radius), shift in ((x, 0.0), (y, turn)):
+            atoms = [(mpmath.mpf(a) + shift, mpmath.mpf(w)) for a, w in zip(np.ravel(angles).tolist(), np.ravel(weights).tolist()) if w]
+            sides.append(([(mpmath.sin(t), mpmath.cos(t), w) for t, w in atoms], mpmath.mpf(float(radius))))
+        (u, ru), (v, rv) = sides
+        cross = mpmath.fsum(wa * wb * abs(sa * cb - ca * sb) for sa, ca, wa in u for sb, cb, wb in v)
+        exact = 2 * cross + 2 * (ru * mpmath.fsum(w for *_, w in v) + rv * mpmath.fsum(w for *_, w in u)) + mpmath.pi * ru * rv
+        return float(abs(mpmath.mpf(float(got)) - exact))
+
+
 def fuzz_trial(rng):
     return int(rng.integers(2**62))
 

@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 import zonalg as z
-from zonalg import oracle
+from zonalg import bodies, oracle
 from zonalg.bodies import PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.cli import run
 from zonalg.lifted import DISC_VECTOR, lift
 
-from conftest import drawn
+from conftest import drawn, mixed_area_error
 
 S = UNIT_SQUARE
 B = UNIT_DISC
@@ -89,12 +89,18 @@ def test_03_equality_case():
 
 
 def test_04_worked_values():
+    import mpmath
+
     x = z.lift(S, B)
-    d = abs(z.deficit(x) - (16 - 4 * PI))
-    m = abs(z.measure_ext(x) - (PI - 3))
-    n = abs(z.inner(DISC_VECTOR, DISC_VECTOR) - 1.0)
-    ok = d <= 1e-12 and m <= 1e-12 and n <= 1e-12
-    report(4, "worked values", ok, f"|deficit err|={d:.1e}, |measure err|={m:.1e}, |disc norm err|={n:.1e}")
+    _, w, r = x.atoms
+    d, n = abs(z.deficit(x) - (16 - 4 * PI)), abs(z.inner(DISC_VECTOR, DISC_VECTOR) - 1.0)
+    m = mixed_area_error(z.measure_ext(x), x.atoms, x.atoms)  # against 50-digit B(x, x), π - 3 at x's doubles
+    with mpmath.workdps(50):
+        o = float(abs(z.perimeter_ext(x) - (4 - 2 * mpmath.pi)))
+    ratios = m / bodies.atom_form_bound(w, r, w, r), o / bodies.perimeter_bound(w, r)
+    errs = f"|measure err|={m:.1e} = {ratios[0]:.3f} atom_form_bound, |perimeter err|={o:.1e} = {ratios[1]:.3f} perimeter_bound"
+    name = "worked values: deficit, disc norm against doubles of 16 - 4π, 1; measure, perimeter against 50 digits"
+    report(4, name, max(d, n, m, o) <= 1e-12, f"|deficit err|={d:.1e}, |disc norm err|={n:.1e}, {errs}")
 
 
 def test_05_kernel_gram():

@@ -11,7 +11,7 @@ from zonalg import bodies, cli, oracle
 from zonalg.bodies import ANGLE_TOL, PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import InvalidInputError, UnsupportedRepresentationError
 
-from conftest import random_body, random_zonogon
+from conftest import mixed_area_error, random_body, random_zonogon
 
 S = UNIT_SQUARE
 B = UNIT_DISC
@@ -215,11 +215,8 @@ class TestAtomForm:
         assert shared.tobytes() == bodies.atom_form(angles, weights, radii, angles.copy(), weights.copy(), radii).tobytes()
 
     def test_matches_mpmath(self, rng):
-        # The documented bound is (k1 + k2 + 16)ε times Σ|w1|Σ|w2| + |r1|Σ|w2|
-        # + |r2|Σ|w1| + |r1 r2|; the form stays within 8ε times that sum,
-        # near-parallel atoms (gaps 1e-13 .. 1e-6) included.
-        mpmath = pytest.importorskip("mpmath")
-
+        # Within 8ε times atom_form_bound's sum Σ|w1|Σ|w2| + |r1|Σ|w2| + |r2|Σ|w1| + |r1 r2|,
+        # far inside the bound (k1, k2 >= 1), near-parallel atoms (gaps 1e-13 .. 1e-6) included.
         def gaps(shape):
             return 10.0 ** rng.uniform(-13, -6, shape) * rng.choice([-1, 1], shape)
 
@@ -230,15 +227,10 @@ class TestAtomForm:
 
         def check(x, y):
             got = np.ravel(bodies.atom_form(*x, *y))
-            rows = [[t.reshape(len(got), -1).tolist(), w.reshape(len(got), -1).tolist(), np.ravel(r).tolist()] for t, w, r in (x, y)]
+            rows = [[t.reshape(len(got), -1), w.reshape(len(got), -1), np.ravel(r)] for t, w, r in (x, y)]
             for i in range(len(got)):
                 (a1, w1, r1), (a2, w2, r2) = ((a[i], w[i], r[i]) for a, w, r in rows)
-                with mpmath.workdps(50):
-                    cross = mpmath.fsum(mpmath.mpf(u) * v * abs(mpmath.sin(mpmath.mpf(p) - q)) for p, u in zip(a1, w1) for q, v in zip(a2, w2))
-                    want = 2 * cross + 2 * (r1 * mpmath.fsum(w2) + r2 * mpmath.fsum(w1)) + mpmath.pi * r1 * r2
-                    err = float(abs(mpmath.mpf(float(got[i])) - want))
-                s1, s2 = np.abs(w1).sum(), np.abs(w2).sum()
-                assert err <= 8 * np.finfo(float).eps * (s1 * s2 + abs(r1) * s2 + abs(r2) * s1 + abs(r1 * r2))
+                assert mixed_area_error(got[i], (a1, w1, r1), (a2, w2, r2)) <= bodies._eps_scaled(8, w1, r1, w2, r2)
 
         for k in range(1, 25):
             for batch in ((), (), (), (4,)):
@@ -262,6 +254,18 @@ class TestAtomForm:
                 one = (angles[i, j], weights[i, j], radii[i, j])
                 assert support[i, j].tobytes() == bodies.support_many(one, thetas[i, j]).tobytes()
                 assert perimeter[i, j].tobytes() == np.float64(bodies.perimeter(one)).tobytes()
+
+    def test_perimeter_within_bound(self, rng):
+        # perimeter_bound against 50-digit 4Σw + 2πr: weights of mixed sign over 16 decades, some 0,
+        # and k = 1 .. 1024, past numpy's 8-term pairwise blocks; three rows a call
+        mpmath = pytest.importorskip("mpmath")
+        for k in [*range(1, 41), *rng.integers(41, 1024, 30).tolist(), 1024]:
+            weights = 10.0 ** rng.uniform(-8, 8, (3, k)) * rng.choice([-1.0, 0.0, 1.0], (3, k), p=[0.45, 0.1, 0.45])
+            radii = rng.uniform(-2, 2, 3) * (rng.random(3) < 0.7)
+            got, bound = bodies.perimeter((np.zeros((3, k)), weights, radii)), bodies.perimeter_bound(weights, radii)
+            for w, r, g, b in zip(weights.tolist(), radii.tolist(), got.tolist(), bound.tolist()):
+                with mpmath.workdps(50):
+                    assert abs(mpmath.mpf(g) - (4 * mpmath.fsum(w) + 2 * mpmath.pi * r)) <= b, k
 
     def test_body_triple_and_lifted_agree(self, rng):
         # A Body, its atom triple and [body, origin] give the same bits.
@@ -302,31 +306,14 @@ class TestSweepForm:
 
     def test_matches_mpmath_within_documented_bound(self, rng):
         # 1-40 atoms a side, near-parallel gaps 1e-13 .. 1e-6: x·x, y·y and x·y
-        # from one call, each held to (3k + 10)ε times Σ|w_p|Σ|w_q| + |r_p|Σ|w_q|
-        # + |r_q|Σ|w_p| + |r_p r_q|, k the atoms of x_p and x_q.
-        mpmath = pytest.importorskip("mpmath")
-        eps = np.finfo(float).eps
+        # from one call, each held to sweep_form_bound.
         for k in range(1, 41):
             for sizes in ((k, k), (k, int(rng.integers(1, 41)))):
                 angles, weights, radii = sweep_vectors(rng, sizes, (-13, -6))
-                got = bodies.sweep_form(angles, weights, radii)
-                with mpmath.workdps(50):
-                    sc = [(mpmath.sin(t), mpmath.cos(t)) for t in map(mpmath.mpf, angles.tolist())]
-                    for p in range(2):
-                        for q in range(2):
-                            cross = mpmath.fsum(
-                                mpmath.mpf(weights[p, i]) * weights[q, j] * abs(sc[i][0] * sc[j][1] - sc[i][1] * sc[j][0])
-                                for i in range(len(sc))
-                                for j in range(len(sc))
-                                if weights[p, i] and weights[q, j]
-                            )
-                            rp, rq = (mpmath.mpf(radii[t]) for t in (p, q))
-                            want = 2 * cross + 2 * (rp * mpmath.fsum(weights[q]) + rq * mpmath.fsum(weights[p])) + mpmath.pi * rp * rq
-                            err = float(abs(mpmath.mpf(float(got[p, q])) - want))
-                            sp, sq = np.abs(weights[p]).sum(), np.abs(weights[q]).sum()
-                            atoms = np.count_nonzero(weights[p] != 0) if p == q else sum(sizes)
-                            scale = sp * sq + abs(radii[p]) * sq + abs(radii[q]) * sp + abs(radii[p] * radii[q])
-                            assert err <= (3 * atoms + 10) * eps * scale, (k, p, q)
+                got, bound = bodies.sweep_form(angles, weights, radii), bodies.sweep_form_bound(weights, radii)
+                for p, q in np.ndindex(2, 2):
+                    x, y = ((angles, weights[t], radii[t]) for t in (p, q))
+                    assert mixed_area_error(got[p, q], x, y) <= bound[p, q], (k, p, q)
 
     def test_lone_atom_is_exactly_zero(self, rng):
         for _ in range(200):

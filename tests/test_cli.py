@@ -633,6 +633,14 @@ def test_negative_zero_angle_prints_as_zero(tmp_path, capsys):
     assert '"angle": 0.0' in outs[0]
 
 
+def test_negative_zero_disc_prints_as_zero(tmp_path, capsys):
+    # Body stores a -0.0 radius as +0.0, so body stats prints it as lift scale and add do
+    for disc in ("-0.0", "0.0"):
+        (tmp_path / f"d{disc}.json").write_text(f'{{"diangles": [{{"angle": 0.5, "d": 1.0}}], "disc": {disc}}}')
+        assert run(["body", "stats", str(tmp_path / f"d{disc}.json")]) == 0
+        assert '"disc": 0.0,' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_lift_scale_nonfinite_factor(value, capsys):
     # a negative factor is valid for lift scale, so the message names finiteness only

@@ -14,7 +14,7 @@ from zonalg.errors import (
 )
 from zonalg.lifted import DISC_VECTOR, LiftedVector
 
-from conftest import drawn, random_body, random_lifted, random_zonogon, reference_atoms
+from conftest import drawn, mixed_area_error, random_body, random_lifted, random_zonogon, reference_atoms
 
 S = UNIT_SQUARE
 B = UNIT_DISC
@@ -115,7 +115,7 @@ class TestRotationFns:
         # The pair's phase lies 5e-13 below pi; taken through fold it went to
         # 0 and F was 8.8e-13 off.  50-digit mpmath: 2|sin(1 - (1 + 5e-13) - 0.5)|.
         u, v = z.body([(1.0, 1.0)]), z.body([(1.0 + 5e-13, 1.0)])
-        bound = (6 * (1 + 1) + 48) * np.finfo(float).eps
+        bound = inequalities.pair_sweep_bound(u.lengths, 0.0, v.lengths, 1 + 1)  # one phase, one angle
         assert abs(z.rotation_fn_F(u, v, [0.5])[0] - 0.95885107720928366) <= bound
 
     def test_E_minus_2F_constant(self, rng):
@@ -144,28 +144,15 @@ class TestRotationFns:
 
 
 def dense_singular_min(u, v):
-    """singular_min by atom_form at every candidate: the first F within 2E
-    of the least, E = (k_u + k_v + 24) ε Σ|w_u| Σ|w_v| atom_form's bound."""
+    """singular_min by atom_form at every candidate: the first F within 2E of the least, E
+    atom_form_bound plus 8ε Σ|w_u| Σ|w_v| for v's angles turned by a candidate, each rounded
+    by up to πε, which moves F by up to 2πε Σ|w_u| Σ|w_v|."""
     (ua, uw, _), (va, vw, _) = bodies.atoms_of(u), bodies.atoms_of(v)
     cands = inequalities.singular_candidates(u, v)
     values = bodies.atom_form(ua, uw, 0.0, va + cands[:, None], vw, 0.0)
-    tie = 2.0 * (len(uw) + len(vw) + 24) * np.finfo(float).eps * np.abs(uw).sum() * np.abs(vw).sum()
+    tie = 2.0 * (bodies.atom_form_bound(uw, 0.0, vw, 0.0) + 8 * np.finfo(float).eps * np.abs(uw).sum() * np.abs(vw).sum())
     best = int(np.argmax(values <= values.min() + tie))
     return float(cands[best]), float(values[best])
-
-
-def exact_cross(u, v, phis):
-    """50-digit 2 Σ w_i w'_j |sin(a_i - b_j - phi)| at each float phi: F without u's disc term."""
-    import mpmath
-
-    with mpmath.workdps(50):
-        su = [(mpmath.sin(a), mpmath.cos(a), w) for a, w in zip(map(mpmath.mpf, u.angles.tolist()), u.lengths.tolist())]
-        out = []
-        for phi in phis:
-            turned = [(mpmath.mpf(b) + phi, w) for b, w in zip(v.angles.tolist(), v.lengths.tolist())]
-            sv = [(mpmath.sin(t), mpmath.cos(t), w) for t, w in turned]
-            out.append(2 * mpmath.fsum(wa * wb * abs(sa * cb - ca * sb) for sa, ca, wa in su for sb, cb, wb in sv))
-        return out
 
 
 class TestSingularMin:
@@ -277,29 +264,25 @@ class TestSingularMin:
                 assert z.singular_min((u[0][order], u[1][order], 0.0), v)[0] == want, (k, order)
 
     def test_F_within_tie_bound_of_exact(self, rng):
-        # F from the sweep at its own phases (singular_min's values) and from
-        # rotation_fn_F at every candidate and at angles in [-pi, pi], each
-        # within E_s = (6M + 48) ε Σ|w_u| Σ|w_v| of 50-digit F for M sweep
-        # points, plus (k_v + 2) ε r_u Σ|w_v| in rotation_fn_F for u's disc.
-        mpmath = pytest.importorskip("mpmath")
-        eps, grid = np.finfo(float).eps, np.append(np.linspace(-PI, PI, 17), [-1e-13, PI - 1e-13])
+        # F from the sweep at its own phases (singular_min's values, no disc term)
+        # and from rotation_fn_F at every candidate and at angles in [-pi, pi],
+        # each within pair_sweep_bound of 50-digit F over its sweep's points.
+        grid = np.append(np.linspace(-PI, PI, 17), [-1e-13, PI - 1e-13])
         pairs = [(random_body(rng, 6), random_zonogon(rng, 6)) for _ in range(200)]
         for _ in range(10):  # 144 phases each
             u, v = (z.body(np.column_stack([rng.uniform(0, PI, 12), np.exp(rng.uniform(-4, 2, 12))])) for _ in "uv")
             pairs.append((u + z.disc(float(rng.uniform(0.0, 2.0))), v))
         for u, v in pairs:
-            n, scale, disc = len(u.angles) * len(v.angles), u.lengths.sum() * v.lengths.sum(), u.disc_radius * v.lengths.sum()
-            with mpmath.workdps(50):
-                disc_term = 2 * mpmath.mpf(u.disc_radius) * mpmath.fsum(v.lengths.tolist())
+            n, zonogon = len(u.angles) * len(v.angles), (u.angles, u.lengths, 0.0)
             phases, swept, _ = inequalities._pair_sweep(u, v, np.empty(0))
             at = np.concatenate([inequalities.singular_candidates(u, v), grid])
             checks = [
-                (phases, 2.0 * swept, 0, (6 * n + 48) * eps * scale),
-                (at, z.rotation_fn_F(u, v, at), disc_term, (6 * (n + len(at)) + 48) * eps * scale + (len(v.angles) + 2) * eps * disc),
+                (zonogon, phases, 2.0 * swept, inequalities.pair_sweep_bound(u.lengths, 0.0, v.lengths, n)),
+                (u.atoms, at, z.rotation_fn_F(u, v, at), inequalities.pair_sweep_bound(u.lengths, u.disc_radius, v.lengths, n + len(at))),
             ]
-            for phis, got, plus, bound in checks:
-                for phi, f, want in zip(phis.tolist(), got.tolist(), exact_cross(u, v, phis.tolist())):
-                    assert abs(f - (want + plus)) <= bound, (u, v, phi)
+            for x, phis, got, bound in checks:
+                for phi, f in zip(phis.tolist(), got.tolist()):
+                    assert mixed_area_error(f, x, v.atoms, phi) <= bound, (u, v, phi)
 
 
 class TestReducePair:
@@ -497,11 +480,11 @@ def schwarz_tolerance(seed, trial, max_diangles, ref_rhs):
     """Bound on |campaign slack - reference slack| for one schwarz trial.
 
     Each slack is off from the exact one at the drawn doubles by its own
-    bound, to first order in ε.  Vector p = [u, v] has k_p atoms, P_p =
-    Σ|w| + |r| and O_p = 4Σ|w| + 2π|r| >= |o_p|, and |B(x_p, x_q)| <= π P_p P_q.
-    Its perimeter is off by e_o = (k_p + 2)ε O_p, and B(x_p, x_q) by
-    e_B = c ε P_p P_q: c = 3k + 10 for sweep_form (the campaign), k the atoms
-    of x_p or x_q, and c = k_p + k_q + 16 for atom_form (the reference).  So
+    bound, to first order in ε.  Vector p = [u, v] has P_p = Σ|w| + |r| and
+    O_p = 4Σ|w| + 2π|r| >= |o_p|, and |B(x_p, x_q)| <= π P_p P_q.  Its
+    perimeter is off by e_o, perimeter_bound, and B(x_p, x_q) by e_B:
+    sweep_form_bound on the campaign's one atom list, and atom_form_bound on
+    the two vectors' own atoms in the reference.  So
 
         d = o² − 4πm  is off by  E_d = (2O + e_o) e_o + 4π e_B + 2ε(O² + 4π² P²),
         rhs = o_x o_y − 4πB  by   E_r = O_x e_oy + O_y e_ox + e_ox e_oy + 4π e_B + 2ε(O_x O_y + 4π² P_x P_y).
@@ -514,16 +497,17 @@ def schwarz_tolerance(seed, trial, max_diangles, ref_rhs):
     """
     eps = np.finfo(float).eps
     b = drawn(seed, trial, 4, max_diangles)
-    vectors = []
-    for u, v in (b[:2], b[2:]):
-        total, r = u.lengths.sum() + v.lengths.sum(), abs(u.disc_radius - v.disc_radius)
-        vectors.append((len(u.angles) + len(v.angles), total + r, 4 * total + 2 * PI * r, z.deficit(z.lift(u, v))))
-    k, p, o, d = np.array(vectors).T
-    e_o = (k + 2) * eps * o
+    x = [bodies.signed_atoms(u, v) for u, v in (b[:2], b[2:])]
+    d = np.array([z.deficit(z.lift(u, v)) for u, v in (b[:2], b[2:])])
+    (_, w0, r0), (_, w1, r1) = x  # the campaign's rows: each vector's weights on its own atoms of one list
+    joint, r = np.block([[w0, np.zeros_like(w1)], [np.zeros_like(w0), w1]]), np.array([r0, r1])
+    p, o = np.abs(joint).sum(-1) + abs(r), 4 * np.abs(joint).sum(-1) + 2 * PI * abs(r)
+    e_o = bodies.perimeter_bound(joint, r)
+    reference = np.array([[bodies.atom_form_bound(wp, rp, wq, rq) for _, wq, rq in x] for _, wp, rp in x])
     bounds = []  # (E_d of x and y, E_r) of the campaign, then of the reference
-    for c_m, c_b in ((3 * k + 10, 3 * k.sum() + 10), (2 * k + 16, k.sum() + 16)):
-        e_d = (2 * o + e_o) * e_o + 4 * PI * c_m * eps * p * p + 2 * eps * (o * o + 4 * PI * PI * p * p)
-        e_r = o[0] * e_o[1] + o[1] * e_o[0] + e_o[0] * e_o[1] + 4 * PI * c_b * eps * p[0] * p[1]
+    for e_b in (bodies.sweep_form_bound(joint, r), reference):
+        e_d = (2 * o + e_o) * e_o + 4 * PI * e_b.diagonal() + 2 * eps * (o * o + 4 * PI * PI * p * p)
+        e_r = o[0] * e_o[1] + o[1] * e_o[0] + e_o[0] * e_o[1] + 4 * PI * e_b[0, 1]
         bounds.append((e_d, e_r + 2 * eps * (o[0] * o[1] + 4 * PI * PI * p[0] * p[1])))
     gap = bounds[0][0] + bounds[1][0]
     hi, lo = np.sqrt(np.maximum(d + gap, 0.0)), np.sqrt(np.maximum(d - gap, 0.0))
