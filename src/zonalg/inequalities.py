@@ -220,11 +220,9 @@ def reduce_pair(u: Body, v: Body) -> ReductionTrace:
     steps: list[ReductionStep] = []
     while 0 < k < len(angles):
         phi_star, f_min = singular_min((angles[:k], weights[:k], 0.0), (angles[k:], -weights[k:], 0.0))
-        # Rotate: v's atoms turned by phi_star and merged, as canonicalize merges them.
-        turned, turned_weights, _ = merge_atoms(fold(angles[k:] + phi_star), weights[k:])
-        angles, weights, cancelled = merge_atoms(
-            np.concatenate([angles[:k], turned]), np.concatenate([weights[:k], turned_weights]), NEAR_CANCEL
-        )
+        # Rotate v's atoms in place (the arrays are this step's own), then one merge cancels.
+        angles[k:] = fold(angles[k:] + phi_star)
+        angles, weights, cancelled = merge_atoms(angles, weights, NEAR_CANCEL)
         assert cancelled is not None
         order = np.argsort(weights < 0.0, kind="stable")
         angles, weights, k = angles[order], weights[order], int(np.count_nonzero(weights > 0.0))

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bodies
-from .bodies import PI, UNIT_DISC, Body, atom_form, merge_atoms, minkowski_add, signed_atoms, sup_norm
+from .bodies import PI, UNIT_DISC, Body, _eps_scaled, atom_form, merge_atoms, minkowski_add, signed_atoms, sup_norm
 from .errors import DegenerateDirectionError, InvalidInputError
 
 FOUR_PI_SQ = 4.0 * PI * PI
@@ -43,6 +43,11 @@ class LiftedVector:
     def measure(self) -> float:
         """measure_ext: atom_form of the signed atoms with themselves."""
         return float(atom_form(*self.atoms, *self.atoms))
+
+    @cached_property
+    def deficit(self) -> float:
+        """deficit: eps_form of the vector with itself."""
+        return eps_form(self, self)
 
     @property
     def is_zero(self) -> bool:
@@ -125,21 +130,45 @@ def perimeter_ext(x: LiftedVector) -> float:
 
 
 def deficit(x: LiftedVector) -> float:
-    """o^2 - 4*pi*m; nonnegative, zero exactly on multiples of the disc."""
-    o = perimeter_ext(x)
-    return o * o - 4.0 * PI * measure_ext(x)
+    """o^2 - 4*pi*m, read from eps_form(x, x) as x keeps it; nonnegative, and
+    exactly 0.0 on multiples of the disc."""
+    return x.deficit
 
 
 def eps_form(x: LiftedVector, y: LiftedVector) -> float:
-    """Symmetric bilinear form polarizing the deficit."""
-    return perimeter_ext(x) * perimeter_ext(y) - 4.0 * PI * bilinear_M(x, y)
+    """Symmetric bilinear form polarizing the deficit, o·o' - 4π·B(x, y).
+
+    The disc terms of o·o' and 4π·B cancel exactly, so it is written
+    without them: 16·Σw·Σw' - 4π·B₀(x, y), B₀ the atom_form of the signed
+    atoms at radius 0.  A disc multiple has no atoms and gets exactly 0.0.
+    Σw·Σw' is taken before the scaling by 16, so that part is symmetric bit
+    for bit; B₀ takes sin and cos once when y is x.  Off by at most
+    eps_form_bound(x, y).
+    """
+    (ax, wx, _), (ay, wy, _) = x.atoms, y.atoms
+    return float(16.0 * (wx.sum() * wy.sum()) - 4.0 * PI * atom_form(ax, wx, 0.0, ay, wy, 0.0))
+
+
+def eps_form_bound(x: LiftedVector, y: LiftedVector) -> float:
+    """Bound on |eps_form - exact| at the given doubles, to first order (Higham 2002, §4.2).
+
+    Each Σw is within (k - 1)·ε/2·Σ|w|, k its atom count, and the product
+    takes ε/2 more: 8(k_x + k_y - 1)·ε·P for 16·Σw·Σw', P = Σ|w_x|·Σ|w_y|.
+    B₀ is within atom_form_bound at radius 0, (k_x + k_y + 16)·ε·P, and
+    |B₀| <= 2P, so 4π's rounding and the product with it add 4π·ε·P each;
+    the subtraction adds ε/2·(16 + 8π)·P.  In all
+    (8(k_x + k_y) + 4π(k_x + k_y + 19))·ε·P.
+    """
+    wx, wy = x.atoms[1], y.atoms[1]
+    k = len(wx) + len(wy)
+    return float(_eps_scaled(8 * k + 4.0 * PI * (k + 19), wx, 0.0, wy, 0.0))
 
 
 def inner(x: LiftedVector, y: LiftedVector) -> float:
-    """Normalized inner product; the unit disc has norm 1."""
-    return (
-        2.0 * perimeter_ext(x) * perimeter_ext(y) - 4.0 * PI * bilinear_M(x, y)
-    ) / FOUR_PI_SQ
+    """Normalized inner product (o·o' + eps_form(x, y)) / 4π², eps_form read
+    as deficit(x) when y is x; the unit disc has norm 1."""
+    eps = x.deficit if y is x else eps_form(x, y)
+    return (perimeter_ext(x) * perimeter_ext(y) + eps) / FOUR_PI_SQ
 
 
 def norm(x: LiftedVector) -> float:

@@ -29,8 +29,8 @@ def drawn(seed, trial, count, max_diangles, zonogons=False):
     ]
 
 
-def mixed_area_error(got, x, y, turn=0.0):
-    """|got - B(x, y)|, B the 50-digit atom_form of the atom triples x and y at their doubles with y's
+def mixed_area_50(x, y, turn=0.0):
+    """B(x, y) to 50 digits, B the atom_form of the atom triples x and y at their doubles with y's
     angles turned by `turn`; each |sin(a - b)| is |sin a cos b - cos a sin b| from one sin and cos per atom."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
@@ -40,8 +40,14 @@ def mixed_area_error(got, x, y, turn=0.0):
             sides.append(([(mpmath.sin(t), mpmath.cos(t), w) for t, w in atoms], mpmath.mpf(float(radius))))
         (u, ru), (v, rv) = sides
         cross = mpmath.fsum(wa * wb * abs(sa * cb - ca * sb) for sa, ca, wa in u for sb, cb, wb in v)
-        exact = 2 * cross + 2 * (ru * mpmath.fsum(w for *_, w in v) + rv * mpmath.fsum(w for *_, w in u)) + mpmath.pi * ru * rv
-        return float(abs(mpmath.mpf(float(got)) - exact))
+        return 2 * cross + 2 * (ru * mpmath.fsum(w for *_, w in v) + rv * mpmath.fsum(w for *_, w in u)) + mpmath.pi * ru * rv
+
+
+def mixed_area_error(got, x, y, turn=0.0):
+    """|got - B(x, y)|, B as mixed_area_50 takes it."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(float(got)) - mixed_area_50(x, y, turn)))
 
 
 def fuzz_trial(rng):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zonalg as z
+from zonalg import lifted
 from zonalg.bodies import PI
 from zonalg.cli import build_parser, run
 
@@ -138,6 +139,20 @@ class TestValues:
         assert obj["measure"] == pytest.approx(PI - 3, rel=1e-13)
         assert obj["deficit"] == pytest.approx(16 - 4 * PI, rel=1e-13)
         assert obj["norm_bp"] == pytest.approx(math.sqrt(2) / 2 + 1, rel=1e-12)
+
+    def test_lift_stats_near_disc_deficit(self, tmp_path, capsys):
+        # Two segments of size 1e-8 on a disc of radius 100: the deficit is the
+        # segments' own, 16·Σw² - 4π·B₀ = 4.351190118280087e-15 to 50 digits.
+        pair = {
+            "plus": {"diangles": [{"angle": 0.3, "d": 1e-8}, {"angle": 1.9, "d": 2e-8}], "disc": 100.0},
+            "minus": {"diangles": [], "disc": 0.0},
+        }
+        path = tmp_path / "near_disc.json"
+        path.write_text(json.dumps(pair))
+        assert run(["lift", "stats", str(path)]) == 0
+        deficit = json.loads(capsys.readouterr().out)["deficit"]
+        x = z.from_body(z.body([(0.3, 1e-8), (1.9, 2e-8)], 100.0))
+        assert 0.0 < deficit and abs(deficit - 4.351190118280087e-15) <= lifted.eps_form_bound(x, x)
 
     def test_check_reports_zero_violations(self):
         for name in ("check_iso_50.json", "check_bmgen_50.json"):
@@ -448,7 +463,7 @@ class TestExitCodes:
         if sys.version_info >= (3, 11):
             import tomllib
         else:
-            tomllib = pytest.importorskip("tomli")
+            import tomli as tomllib
         target = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]["zonalg"]
         module, func = target.split(":")
         script = f"import sys; sys.argv[0] = 'zonalg'; from {module} import {func}; sys.exit({func}())"

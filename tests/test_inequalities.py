@@ -365,6 +365,30 @@ class TestReducePair:
             wo = trace.witness_sign * z.perimeter(trace.witness)
             assert wo == pytest.approx(o0, rel=1e-10, abs=1e-9)
 
+    def test_turn_that_joins_two_atoms_of_v(self):
+        # v's atoms at 3e-13 and 1.3e-12 below pi straddle the wrap; the turn
+        # folds them both to near 0, where one merge joins them with u's atom.
+        for u, v in [
+            (z.body([(9e-13, 0.4), (1.02, 0.5)]), z.body([(3e-13, 1.9), (PI - 1.3e-12, 0.2)])),
+            (z.body([(8e-13, 0.8), (2.41, 1.7)]), z.body([(1e-13, 0.3), (PI - 1.0e-12, 1.8)])),
+        ]:
+            assert len(v.angles) == 2
+            trace = z.reduce_pair(u, v)
+            angles, weights, _ = bodies.signed_atoms(u, v)
+            # Each step's merge moves 4Σw by at most 2(k - 1)·ε·Σ|w|, under half of
+            # perimeter_bound, on top of the bounds on o0 and on the step's perimeter.
+            bound = (2 + len(trace.steps)) * bodies.perimeter_bound(weights, 0.0)
+            x = angles, weights, 0.0
+            o0, m_prev = bodies.perimeter(x), z.atom_form(*x, *x)
+            for step in trace.steps:
+                assert abs(step.perimeter_ext - o0) <= bound, (u, v, step)
+                assert step.measure_ext >= m_prev, (u, v, step)
+                m_prev = step.measure_ext
+            w = trace.witness
+            assert (np.diff(w.angles) > bodies.ANGLE_TOL).all() and (w.lengths > 0.0).all()
+            assert 0.0 <= w.angles.min() and w.angles.max() < PI
+            assert z.canonicalize(w.angles, w.lengths) == w
+
     def test_witness_deficit_dominated(self, rng):
         # measure grows along the reduction while perimeter is invariant, so
         # the witness deficit is squeezed between 0 and the initial deficit

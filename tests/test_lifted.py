@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import zonalg as z
-from zonalg import bodies, cli
+from zonalg import bodies, cli, lifted
 from zonalg.bodies import ANGLE_TOL, PI, UNIT_DISC, UNIT_SQUARE
 from zonalg.errors import InvalidInputError
 from zonalg.lifted import DISC_VECTOR, ZERO, LiftedVector
 
-from conftest import random_body, random_lifted
+from conftest import mixed_area_50, random_body, random_lifted
 
 S = UNIT_SQUARE
 B = UNIT_DISC
@@ -223,9 +223,38 @@ class TestPerimeterExt:
             )
 
 
+def eps_form_error(got, x, y):
+    """|got - eps_form(x, y)|, the form 16·Σw·Σw' - 4π·B₀ taken to 50 digits at the atoms' doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    (ax, wx, _), (ay, wy, _) = x.atoms, y.atoms
+    with mpmath.workdps(50):
+        sums = [mpmath.fsum(mpmath.mpf(w) for w in ws.tolist()) for ws in (wx, wy)]
+        exact = 16 * sums[0] * sums[1] - 4 * mpmath.pi * mixed_area_50((ax, wx, 0.0), (ay, wy, 0.0))
+        return float(abs(mpmath.mpf(got) - exact))
+
+
+def near_disc(rng, radius, k, half_length=1e-8):
+    """disc(radius) plus k segments of half-length about half_length in random directions."""
+    return z.from_body(bodies.canonicalize(rng.uniform(0, PI, k), half_length * rng.uniform(0.5, 1.5, k), radius))
+
+
 class TestDeficit:
     def test_disc_zero(self):
         assert z.deficit(DISC_VECTOR) == 0.0
+
+    def test_every_disc_multiple_is_exactly_zero(self, rng):
+        # No disc term is formed, so nothing is left to cancel.
+        radii = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 10_000))
+        assert [r for r in radii.tolist() if z.deficit(z.from_body(z.disc(r))) != 0.0] == []
+        for lam in (-3.0, -1e-3, 7.5):
+            assert z.deficit(z.scale_real(DISC_VECTOR, lam)) == 0.0
+
+    def test_near_disc_is_positive(self, rng):
+        # The disc adds nothing to the form, so a polygon of size 1e-8 on a disc
+        # of radius 100 keeps its own deficit: > 0 unless its atoms are parallel.
+        for _ in range(2000):
+            x = near_disc(rng, 100.0, int(rng.integers(1, 13)))
+            assert z.deficit(x) > 0.0, x
 
     def test_square_minus_disc(self):
         assert z.deficit(SB) == pytest.approx(16 - 4 * PI, rel=1e-14)
@@ -237,18 +266,38 @@ class TestDeficit:
 class TestEpsForm:
     def test_disc_annihilates(self, rng):
         for _ in range(100):
-            x = random_lifted(rng)
-            scale = 1.0 + z.perimeter_ext(x) ** 2
-            assert abs(z.eps_form(x, DISC_VECTOR)) <= 1e-10 * scale
+            assert z.eps_form(random_lifted(rng), DISC_VECTOR) == 0.0
 
     def test_diagonal_is_deficit(self, rng):
         for _ in range(100):
             x = random_lifted(rng)
-            assert z.eps_form(x, x) == pytest.approx(z.deficit(x), rel=1e-12, abs=1e-12)
+            fresh = LiftedVector(x.plus, x.minus)
+            assert np.float64(z.eps_form(x, x)).tobytes() == np.float64(z.deficit(fresh)).tobytes()
 
     def test_square_diagonal(self):
         x = z.from_body(S)
         assert z.eps_form(x, x) == pytest.approx(16 - 4 * PI, rel=1e-14)
+
+    def test_within_bound_of_exact(self, rng):
+        # Random pairs in both orders and with themselves, disc multiples among them,
+        # and disc(R) + δ·P, whose deficit is δ² times P's: each value is within
+        # eps_form_bound of the 50-digit form at its doubles.
+        pairs = []
+        for _ in range(60):
+            x, y = random_lifted(rng, 6), random_lifted(rng, 6)
+            pairs += [(x, y), (y, x), (x, x)]
+        for radius in (0.0, 1.0, 3.0, 100.0):
+            d = z.scale_real(DISC_VECTOR, radius)
+            x = random_lifted(rng, 6)
+            pairs += [(d, d), (x, d), (d, x)]
+        for radius in (1.0, 100.0):
+            p = near_disc(rng, 0.0, 12, 1.0)
+            for delta in (1e-2, 1e-4, 1e-6, 1e-8):
+                x = z.add(z.scale_real(DISC_VECTOR, radius), z.scale_real(p, delta))
+                assert z.deficit(x) > 0.0
+                pairs.append((x, x))
+        for x, y in pairs:
+            assert eps_form_error(z.eps_form(x, y), x, y) <= lifted.eps_form_bound(x, y), (x, y)
 
 
 class TestInner:
@@ -400,13 +449,15 @@ class TestLiftKeepsItsBits:
                 "norm_c": z.norm_c(fresh()),
                 "norm_bp": z.norm_bp(fresh()),
             }
+            a, w, _ = x.atoms
             m = float(bodies.atom_form(*x.atoms, *x.atoms))
             o = float(bodies.perimeter(x.atoms))
+            d = float(16.0 * (w.sum() * w.sum()) - 4.0 * PI * bodies.atom_form(a, w, 0.0, a, w, 0.0))
             written = {
                 "measure": m,
                 "perimeter": o,
-                "deficit": o * o - 4.0 * PI * m,
-                "norm": math.sqrt(max((2.0 * o * o - 4.0 * PI * m) / (4.0 * PI * PI), 0.0)),
+                "deficit": d,
+                "norm": math.sqrt(max((o * o + d) / (4.0 * PI * PI), 0.0)),
                 "norm_c": bodies.sup_norm(x.atoms),
                 "norm_bp": bodies.sup_norm(x.plus) + bodies.sup_norm(x.minus),
             }
