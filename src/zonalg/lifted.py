@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bodies
-from .bodies import PI, UNIT_DISC, Body, _eps_scaled, atom_form, merge_atoms, minkowski_add, signed_atoms, sup_norm
+from .bodies import PI, UNIT_DISC, Body, _eps_scaled, atom_form, merge_atoms, signed_atoms, sup_norm
 from .errors import DegenerateDirectionError, InvalidInputError
 
 FOUR_PI_SQ = 4.0 * PI * PI
@@ -60,35 +60,38 @@ class LiftedVector:
         return neg(self)
 
     def __sub__(self, other: "LiftedVector") -> "LiftedVector":
-        return add(self, neg(other))
+        return lift(self, other)
 
     def __rmul__(self, lam: float) -> "LiftedVector":
         return scale_real(self, lam)
 
 
-def lift(u: Body, v: Body) -> LiftedVector:
+def lift(u, v) -> LiftedVector:
     """Canonical representative of the class of (u, v): cancel shared summands.
 
-    merge_atoms on the signed atoms of [u, v], split by sign, so a
-    remainder keeps its own side's angle; the smaller disc cancels too.
+    u and v are any two atom holders (Bodies, lifted vectors or atom
+    triples); add, - and scale_real are one lift each, so no intermediate
+    Body is built.
+
+    merge_atoms on signed_atoms(u, v), split by sign, so a remainder keeps
+    its own side's angle; the signed radius goes to the side of its sign.
     A group that chains past ANGLE_TOL can leave two kept atoms within it
     of each other; they are merged again, so lifting a lift changes nothing.
 
-    When the merge drops no atom, the Body invariant (sorted angles, gaps
-    over ANGLE_TOL, lengths > 0) makes the split u's atoms and v's as they
-    are; if also the smaller radius is 0 (+0.0, as Body stores it), whose
-    subtraction moves no bit, u and v themselves are the lift.
+    When u and v are Bodies and the merge drops no atom, the Body invariant
+    (sorted angles, gaps over ANGLE_TOL, lengths > 0) makes the split u's
+    atoms and v's as they are; if also one radius is 0 (+0.0, as Body
+    stores it), whose subtraction moves no bit, u and v themselves are the
+    lift.
     """
-    angles, weights, _ = merge_atoms(*signed_atoms(u, v)[:2])
-    r = min(u.disc_radius, v.disc_radius)
-    if len(angles) == len(u.angles) + len(v.angles) and r == 0.0:
+    a, w, r = signed_atoms(u, v)
+    angles, weights, _ = merge_atoms(a, w)
+    if type(u) is type(v) is Body and len(angles) == len(a) and 0.0 in (u.disc_radius, v.disc_radius):
         return LiftedVector(u, v)
     while np.count_nonzero(np.diff(angles) <= bodies.ANGLE_TOL):
         angles, weights, _ = merge_atoms(angles, weights)
     plus = weights > 0.0
-    return LiftedVector(
-        Body(angles[plus], weights[plus], u.disc_radius - r), Body(angles[~plus], -weights[~plus], v.disc_radius - r)
-    )
+    return LiftedVector(Body(angles[plus], weights[plus], max(r, 0.0)), Body(angles[~plus], -weights[~plus], max(-r, 0.0)))
 
 
 def from_body(u: Body) -> LiftedVector:
@@ -100,7 +103,8 @@ DISC_VECTOR = LiftedVector(UNIT_DISC, Body())
 
 
 def add(x: LiftedVector, y: LiftedVector) -> LiftedVector:
-    return lift(minkowski_add(x.plus, y.plus), minkowski_add(x.minus, y.minus))
+    """x + y: one lift of x's atoms and y's."""
+    return lift(x, neg(y))
 
 
 def neg(x: LiftedVector) -> LiftedVector:
@@ -108,11 +112,15 @@ def neg(x: LiftedVector) -> LiftedVector:
 
 
 def scale_real(x: LiftedVector, lam: float) -> LiftedVector:
+    """lam·x for any finite lam: one lift of the scaled signed atoms.  A product
+    that overflows names lam in its error; rounding is monotone, so the
+    largest |weight| or |radius| shows whether one does."""
     if not math.isfinite(lam):
         raise InvalidInputError(f"scale factor must be finite, got {lam}")
-    if lam < 0:
-        return neg(scale_real(x, -lam))
-    return lift(bodies.scale(x.plus, lam), bodies.scale(x.minus, lam))
+    angles, weights, radius = x.atoms
+    if not math.isfinite(lam * float(max(np.abs(weights).max(initial=0.0), abs(radius)))):
+        raise InvalidInputError(f"scale factor {lam} overflows a half_length or the disc radius")
+    return lift((angles, lam * weights, lam * radius), bodies.ORIGIN)
 
 
 def measure_ext(x: LiftedVector) -> float:
@@ -120,9 +128,17 @@ def measure_ext(x: LiftedVector) -> float:
     return x.measure
 
 
+def _in_order(x: LiftedVector, y: LiftedVector) -> tuple:
+    """The atoms of x and y, joined in an order fixed by their bytes, so a form of
+    (x, y) has the bits of (y, x); the radius counts, as π·r₁·r₂ does not commute in floats."""
+    first, second = sorted((x.atoms, y.atoms), key=lambda t: (t[0].tobytes(), t[1].tobytes(), float(t[2]).hex()))
+    return (*first, *second)
+
+
 def bilinear_M(x: LiftedVector, y: LiftedVector) -> float:
-    """Symmetric bilinear form polarizing measure_ext."""
-    return x.measure if y is x else float(atom_form(*x.atoms, *y.atoms))
+    """Symmetric bilinear form polarizing measure_ext, symmetric bit for bit;
+    the diagonal is x.measure."""
+    return x.measure if y is x else float(atom_form(*_in_order(x, y)))
 
 
 def perimeter_ext(x: LiftedVector) -> float:
@@ -141,11 +157,11 @@ def eps_form(x: LiftedVector, y: LiftedVector) -> float:
     The disc terms of o·o' and 4π·B cancel exactly, so it is written
     without them: 16·Σw·Σw' - 4π·B₀(x, y), B₀ the atom_form of the signed
     atoms at radius 0.  A disc multiple has no atoms and gets exactly 0.0.
-    Σw·Σw' is taken before the scaling by 16, so that part is symmetric bit
-    for bit; B₀ takes sin and cos once when y is x.  Off by at most
-    eps_form_bound(x, y).
+    The operands are taken in _in_order's order, so eps_form(x, y) and
+    eps_form(y, x) are the same bits; B₀ takes sin and cos once when y is
+    x.  Off by at most eps_form_bound(x, y).
     """
-    (ax, wx, _), (ay, wy, _) = x.atoms, y.atoms
+    ax, wx, _, ay, wy, _ = _in_order(x, y)
     return float(16.0 * (wx.sum() * wy.sum()) - 4.0 * PI * atom_form(ax, wx, 0.0, ay, wy, 0.0))
 
 

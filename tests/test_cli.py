@@ -661,3 +661,22 @@ def test_lift_scale_nonfinite_factor(value, capsys):
     # a negative factor is valid for lift scale, so the message names finiteness only
     assert run(resolve(["lift", "scale", "lifted_sb.json", f"--value={value}"])) == 2
     assert capsys.readouterr().err == f"error: scale factor must be finite, got {float(value)}\n"
+
+
+@pytest.mark.parametrize(
+    "plus,minus",
+    [
+        ('{"diangles": [{"angle": 0.3, "d": 1e10}], "disc": 0.0}', '{"diangles": [], "disc": 0.0}'),
+        ('{"diangles": [{"angle": 0.3, "d": 1.0}], "disc": 0.0}', '{"diangles": [], "disc": 1e10}'),
+    ],
+    ids=["half_length", "disc"],
+)
+@pytest.mark.parametrize("value", ["1e300", "-1e300"])
+def test_lift_scale_overflow_names_the_factor(plus, minus, value, tmp_path, capsys):
+    # the file is valid: the message blames the factor, whose product overflows, not the input
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"plus": {plus}, "minus": {minus}}}')
+    assert run(["lift", "scale", str(path), f"--value={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: scale factor {float(value)} overflows a half_length or the disc radius\n"

@@ -466,3 +466,72 @@ class TestLiftKeepsItsBits:
                     k: np.float64(w).tobytes() for k, w in want.items()
                 }
             assert np.float64(z.bilinear_M(x, x)).tobytes() == np.float64(z.bilinear_M(x, fresh())).tobytes()
+
+
+def vector_bits(x) -> tuple:
+    return body_bits(x.plus), body_bits(x.minus)
+
+
+# The factors of the arithmetic tests: signed zeros, ±1, and tiny factors whose products underflow to subnormals or 0.
+FACTORS = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300, -1e-300, 1e-320]
+
+
+def arithmetic_pairs(seed, count):
+    """Lifted pairs from sides of 0-13 atoms, a third of them on multiples of
+    pi/8, 30% of them with a disc; every seventh y takes x's plus angles with
+    scaled lengths, so x and y share directions exactly."""
+    rng = np.random.default_rng(seed)
+
+    def side(angles=None):
+        if angles is None:
+            k = int(rng.integers(0, 14))
+            angles = rng.integers(0, 8, k) * (PI / 8) if rng.random() < 1 / 3 else rng.uniform(0.0, PI, k)
+        radius = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.3 else 0.0
+        return bodies.canonicalize(angles, np.exp(rng.uniform(-3.0, 2.0, len(angles))), radius)
+
+    for i in range(count):
+        x = z.lift(side(), side())
+        y = z.lift(side(x.plus.angles if i % 7 == 0 else None), side())
+        yield x, y, float(rng.uniform(-3.0, 3.0))
+
+
+class TestArithmeticIsOneLift:
+    """add, - and scale_real merge the atoms once, with no intermediate Body,
+    and give the bits of the Body arithmetic lifted afterwards."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_bits_as_body_arithmetic(self, seed):
+        for x, y, drawn_factor in arithmetic_pairs(seed, 1000):
+            assert vector_bits(z.add(x, y)) == vector_bits(z.lift(x.plus + y.plus, x.minus + y.minus))
+            assert vector_bits(x - y) == vector_bits(z.lift(x.plus + y.minus, x.minus + y.plus))
+            for lam in [*FACTORS, drawn_factor]:
+                if lam < 0:
+                    want = z.neg(z.lift(z.scale(x.plus, -lam), z.scale(x.minus, -lam)))
+                else:
+                    want = z.lift(z.scale(x.plus, lam), z.scale(x.minus, lam))
+                assert vector_bits(z.scale_real(x, lam)) == vector_bits(want), lam
+
+    def test_no_canonicalize(self, rng, monkeypatch):
+        x, y = random_lifted(rng), random_lifted(rng)
+        calls = []
+        canonicalize = bodies.canonicalize
+        monkeypatch.setattr(bodies, "canonicalize", lambda *args: calls.append(args) or canonicalize(*args))
+        z.add(x, y)
+        x - y
+        z.scale_real(x, -2.5)
+        assert len(calls) == 0
+
+    def test_lift_takes_any_atom_holder(self, rng):
+        for _ in range(2000):
+            x, y = random_lifted(rng), random_lifted(rng)
+            assert vector_bits(z.lift(x, y)) == vector_bits(x - y)
+            assert vector_bits(z.lift(x.atoms, z.ORIGIN)) == vector_bits(x)
+
+
+def test_forms_symmetric_bit_for_bit():
+    # each form takes its operands in one order, fixed by their bytes
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        x, y = random_lifted(rng), random_lifted(rng)
+        for form in (z.eps_form, z.bilinear_M, z.inner):
+            assert np.float64(form(x, y)).tobytes() == np.float64(form(y, x)).tobytes(), form.__name__
