@@ -294,6 +294,22 @@ def sin_sweep(angles, weights):
     return sin * (2.0 * below_cos - below_cos[..., -1:]) + cos * (below_sin[..., -1:] - 2.0 * below_sin)
 
 
+def sweep_at(angles, weights, queries):
+    """Sorted points, Σ_j w_j |sin(x - a_j)| at each point x, and the sort order.
+
+    The points are the atoms' angles, then the queries at weight 0.  The
+    angles lie in [0, pi), as fold gives them, and the queries in [0, pi];
+    the sweep holds for any points in [0, pi] (np.mod may round a phase up
+    to pi), since a point sorted before x then lies at most pi below it.
+    One stable argsort and one sin_sweep: O(M log M) time and O(M) memory
+    for M points.  An atom and a query at one angle keep the atom first.
+    """
+    points = np.concatenate([angles, queries])
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    return points, sin_sweep(points, np.concatenate([weights, np.zeros(len(queries))])[order]), order
+
+
 def sweep_form(angles, weights, radii):
     """Mixed areas B(x_p, x_q) of c signed atom vectors on one list of atoms,
     batched over leading axes, in O(c²k + k log k) time and O(ck) memory.
@@ -420,25 +436,39 @@ def vertices(a: Body) -> np.ndarray:
 
 
 def sup_norm(a) -> float:
-    """sup over directions of |h| for a Body, a LiftedVector or an atom triple; exact.
+    """sup over directions of |h| for a Body, a LiftedVector or an atom triple
+    whose angles lie in [0, pi); within sup_norm_bound of the exact sup.
 
-    Between consecutive kinks theta = angle + pi/2, h is
-    A cos(theta) + B sin(theta) + r, whose |.| peaks at a kink or at
-    atan2(B, A) mod pi (h is pi-periodic).  All intervals are done at once,
-    so the sup is a max over finitely many angles, with no sampling grid.
+    With phi = theta - pi/2, h = S(phi) + r for S(phi) = Σ_j w_j |sin(phi - a_j)|,
+    whose kinks are the atom angles.  Between sorted atoms i and i + 1 (across
+    the wrap for the last), S = p_i sin(phi) - q_i cos(phi), with p_i and q_i
+    the running sums of w cos a and w sin a up to atom i less the rest, so
+    |S + r| peaks at an atom or at atan2(q_i, p_i) + pi/2 mod pi.  One sweep_at
+    over the atoms takes S at those peaks and at 0 (the lone candidate of a
+    disc): O(k log k) time and O(k) memory, with no sampling grid.
     """
-    angles, weights, _ = atoms_of(a)
-    thetas = np.array([0.0])
-    if len(angles):
-        kinks = np.sort(np.mod(angles + PI / 2, PI))
-        kinks = kinks[np.concatenate(([True], kinks[1:] != kinks[:-1]))]
-        mids = 0.5 * (kinks + np.concatenate((kinks[1:], kinks[:1] + PI)))
-        signs = np.sign(np.cos(mids[:, None] - angles))
-        A = signs @ (weights * np.cos(angles))
-        B = signs @ (weights * np.sin(angles))
-        moving = (A != 0.0) | (B != 0.0)
-        thetas = np.concatenate([kinks, np.mod(np.arctan2(B[moving], A[moving]), PI)])
-    return float(np.abs(support_many(a, thetas)).max())
+    angles, weights, radius = atoms_of(a)
+    order = np.argsort(angles, kind="stable")
+    angles, weights = angles[order], weights[order]
+    below_cos, below_sin = np.cumsum(weights * np.cos(angles)), np.cumsum(weights * np.sin(angles))
+    # atan2(q, p) + pi/2 is the angle of (-q, p), (p, q) turned by pi/2, with no rounded add
+    peaks = np.arctan2(2.0 * below_cos - below_cos[-1:], below_sin[-1:] - 2.0 * below_sin)
+    _, swept, _ = sweep_at(angles, weights, np.concatenate([np.mod(peaks, PI), [0.0]]))
+    return float(np.abs(swept + radius).max())
+
+
+def sup_norm_bound(weights, radius):
+    """Bound on |sup_norm - exact sup|, to first order in ε, with sin, cos and atan2 within 1 ulp.
+
+    The sweep over M = 2k + 1 points is off by at most (6M + 27)·ε/2·Σ|w| (as
+    in inequalities._pair_sweep), the + r by ε/2·(Σ|w| + |r|).  p and q are
+    each off by at most (1.5k + 6.5)·ε·Σ|w_j cos a_j| and the same with sin,
+    so (p, q) by e <= √2·(1.5k + 6.5)·ε·Σ|w|.  A peak angle off by δ costs
+    R(1 - cos δ) <= min(R·δ²/2, 2R) for R = |(p, q)|, which is at most 2e;
+    the rounding of atan2 and mod moves δ by O(ε), a cost of O(ε²).
+    In all: under (11k + 36)·ε·(Σ|w| + |r|).
+    """
+    return (11 * np.shape(weights)[-1] + 36) * EPS * (np.abs(weights).sum(-1) + abs(radius))
 
 
 def hausdorff(a: Body, b: Body) -> float:

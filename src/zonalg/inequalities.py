@@ -121,7 +121,7 @@ def _pair_sweep(u, v, phis, phase=fold):
     """Sorted points, S(x) = Σ_ij w_i w'_j |sin(x - c_ij)| at each, and the sort order.
 
     The points are the phases c_ij = phase(a_i - b_j) in [0, pi], then the phis in [0, pi] at
-    weight 0, swept once by bodies.sin_sweep: O(M log M) time, O(M) memory.  To first order, with
+    weight 0, swept once by bodies.sweep_at: O(M log M) time, O(M) memory.  To first order, with
     P = Σ|w_u|Σ|w_v| and sin, cos within 1 ulp (Higham 2002, §4.2): rounding the points (a - b, the
     PI fold or np.mod adds, 0.56ε below pi, np.mod for a phi in [-pi, pi]) moves S by under 6εP;
     the terms w w' cos c, w w' sin c are off by 2ε|w w'|, the running sums by (M + 3)·ε/2·P, and
@@ -130,11 +130,7 @@ def _pair_sweep(u, v, phis, phase=fold):
     0, which singular_min keeps, as for its candidates; rotation_fn_F takes the phases mod pi,
     which moves none."""
     (ua, uw, _), (va, vw, _) = atoms_of(u), atoms_of(v)
-    points = np.concatenate([phase(np.subtract.outer(ua, va).ravel()), phis])
-    weights = np.concatenate([np.multiply.outer(uw, vw).ravel(), np.zeros(len(phis))])
-    order = np.argsort(points, kind="stable")
-    points = points[order]
-    return points, bodies.sin_sweep(points, weights[order]), order
+    return bodies.sweep_at(phase(np.subtract.outer(ua, va).ravel()), np.multiply.outer(uw, vw).ravel(), phis)
 
 
 def pair_sweep_bound(wu, ru, wv, points):

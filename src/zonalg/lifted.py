@@ -192,7 +192,8 @@ def norm(x: LiftedVector) -> float:
 
 
 def norm_c(x: LiftedVector) -> float:
-    """Sup norm of the support difference = Hausdorff distance of the pair."""
+    """Sup norm of the support difference, the Hausdorff distance of the pair:
+    bodies.sup_norm of the signed atoms, within sup_norm_bound of the exact sup."""
     return sup_norm(x.atoms)
 
 

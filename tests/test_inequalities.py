@@ -136,6 +136,27 @@ class TestRotationFns:
             z.rotation_fn_E(u, v, phis + PI), rel=1e-12
         )
 
+    def test_pair_sweep_keeps_its_bits(self, rng):
+        # _pair_sweep is one bodies.sweep_at call; the sweep it replaced, inlined
+        # here, gives the same points, values and order, with either phase and
+        # with query angles or none
+        def reference(u, v, phis, phase):
+            (ua, uw, _), (va, vw, _) = bodies.atoms_of(u), bodies.atoms_of(v)
+            points = np.concatenate([phase(np.subtract.outer(ua, va).ravel()), phis])
+            weights = np.concatenate([np.multiply.outer(uw, vw).ravel(), np.zeros(len(phis))])
+            order = np.argsort(points, kind="stable")
+            points = points[order]
+            return points, bodies.sin_sweep(points, weights[order]), order
+
+        for _ in range(300):
+            u, v = random_body(rng, 12), random_zonogon(rng, 12)
+            if rng.random() < 0.3:  # shared directions: phases at exactly 0
+                v = z.body([(t, float(rng.uniform(0.1, 2.0))) for t in u.angles])
+            phis = np.append(rng.uniform(0.0, PI, int(rng.integers(0, 9))), rng.choice([0.0, PI], 2))
+            for phase, at in ((inequalities.fold, np.empty(0)), (lambda d: np.mod(d, PI), phis)):
+                got, want = inequalities._pair_sweep(u, v, at, phase), reference(u, v, at, phase)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (u, v)
+
     def test_requires_zonogon(self):
         with pytest.raises(UnsupportedRepresentationError):
             z.rotation_fn_E(S, B, [0.1])
